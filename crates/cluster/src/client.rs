@@ -281,8 +281,18 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
+            // Read the whole request head before answering: closing with
+            // request bytes still unread makes the kernel reset the
+            // connection instead of closing it, and the client would see
+            // `ConnectionReset` rather than this response.
+            let mut head = Vec::new();
             let mut buf = [0u8; 1024];
-            let _ = conn.read(&mut buf);
+            while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+                match conn.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => head.extend_from_slice(&buf[..n]),
+                }
+            }
             let body = "{}";
             write!(
                 conn,

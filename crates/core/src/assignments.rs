@@ -16,7 +16,7 @@
 
 use ukc_metric::{DistanceOracle, Point, PAR_CHUNK, PAR_MIN_POINTS};
 use ukc_pool::Exec;
-use ukc_uncertain::{expected_distance, expected_point, UncertainSet};
+use ukc_uncertain::{expected_point, UncertainSet};
 
 /// Assignment rules available in Euclidean space (paper Theorems 2.2,
 /// 2.4, 2.5).
@@ -41,26 +41,56 @@ pub enum MetricAssignmentRule {
     OneCenter,
 }
 
-/// One point's ED argmin: `argmin_c E d(Pᵢ, c)`, ties to the lower index.
-fn ed_argmin<P, M: DistanceOracle<P>>(
-    up: &ukc_uncertain::UncertainPoint<P>,
-    centers: &[P],
-    metric: &M,
-) -> usize {
-    let mut best = 0usize;
-    let mut best_v = f64::INFINITY;
-    for (c, center) in centers.iter().enumerate() {
-        let v = expected_distance(up, center, metric);
-        if v < best_v {
-            best_v = v;
-            best = c;
-        }
+/// The ED sweeps' argument checks, made before any work is handed out.
+fn check_ed_args(centers: usize, weights: Option<&[f64]>) {
+    assert!(centers > 0, "need at least one center");
+    if let Some(w) = weights {
+        assert_eq!(w.len(), centers, "one weight per center");
     }
-    best
+}
+
+/// The ED sweep over `set` in one
+/// [`DistanceOracle::expected_nearest_each`] call.
+fn ed_sweep<P, M: DistanceOracle<P>>(
+    set: &UncertainSet<P>,
+    centers: &[P],
+    weights: Option<&[f64]>,
+    metric: &M,
+) -> Vec<usize> {
+    check_ed_args(centers.len(), weights);
+    let mut out = vec![0usize; set.n()];
+    metric.expected_nearest_each(set.points(), centers, weights, &mut out);
+    out
+}
+
+/// [`ed_sweep`] chunked across `exec`'s lanes past [`PAR_MIN_POINTS`]
+/// points: every chunk is one
+/// [`DistanceOracle::expected_nearest_each`] call, whose per-point result
+/// does not depend on the chunking.
+fn ed_sweep_exec<P: Sync, M: DistanceOracle<P> + Sync>(
+    set: &UncertainSet<P>,
+    centers: &[P],
+    weights: Option<&[f64]>,
+    metric: &M,
+    exec: Exec<'_>,
+) -> Vec<usize> {
+    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
+        return ed_sweep(set, centers, weights, metric);
+    }
+    check_ed_args(centers.len(), weights);
+    let points = set.points();
+    let mut out = vec![0usize; points.len()];
+    ukc_pool::for_each_slice(exec, &mut out, PAR_CHUNK, |start, slice| {
+        let chunk = &points[start..start + slice.len()];
+        metric.expected_nearest_each(chunk, centers, weights, slice);
+    });
+    out
 }
 
 /// Expected-distance assignment: each point goes to
-/// `argmin_c E d(Pᵢ, c)`. O(n·z·k) distance evaluations.
+/// `argmin_c E d(Pᵢ, c)`, ties to the lower index. O(n·z·k) distance
+/// evaluations, made by one [`DistanceOracle::expected_nearest_each`]
+/// sweep.
 ///
 /// # Panics
 /// Panics when `centers` is empty.
@@ -69,16 +99,13 @@ pub fn assign_ed<P, M: DistanceOracle<P>>(
     centers: &[P],
     metric: &M,
 ) -> Vec<usize> {
-    assert!(!centers.is_empty(), "need at least one center");
-    set.iter()
-        .map(|up| ed_argmin(up, centers, metric))
-        .collect()
+    ed_sweep(set, centers, None, metric)
 }
 
 /// [`assign_ed`] with an execution context: points are assigned in
-/// block-parallel chunks on the pool. Each point's argmin is computed by
-/// the exact sequential arithmetic, so the assignment — and the
-/// distance-eval count — is identical for every `exec`.
+/// block-parallel chunks on the pool. Each point's argmin does not depend
+/// on the chunking, so the assignment — and the distance-eval count — is
+/// identical for every `exec`.
 ///
 /// # Panics
 /// Panics when `centers` is empty.
@@ -88,43 +115,13 @@ pub fn assign_ed_exec<P: Sync, M: DistanceOracle<P> + Sync>(
     metric: &M,
     exec: Exec<'_>,
 ) -> Vec<usize> {
-    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
-        return assign_ed(set, centers, metric);
-    }
-    assert!(!centers.is_empty(), "need at least one center");
-    let mut out = vec![0usize; set.n()];
-    ukc_pool::for_each_slice(exec, &mut out, PAR_CHUNK, |start, slice| {
-        for (j, o) in slice.iter_mut().enumerate() {
-            *o = ed_argmin(&set[start + j], centers, metric);
-        }
-    });
-    out
-}
-
-/// One point's weighted ED argmin: `argmin_c (E d(Pᵢ, c) − w_c)`, ties
-/// to the lower index. With all-zero weights this is [`ed_argmin`]
-/// comparison for comparison (`x − 0.0 == x` exactly).
-fn ed_argmin_weighted<P, M: DistanceOracle<P>>(
-    up: &ukc_uncertain::UncertainPoint<P>,
-    centers: &[P],
-    weights: &[f64],
-    metric: &M,
-) -> usize {
-    let mut best = 0usize;
-    let mut best_v = f64::INFINITY;
-    for (c, center) in centers.iter().enumerate() {
-        let v = expected_distance(up, center, metric) - weights[c];
-        if v < best_v {
-            best_v = v;
-            best = c;
-        }
-    }
-    best
+    ed_sweep_exec(set, centers, None, metric, exec)
 }
 
 /// Additively-weighted expected-distance assignment: each point goes to
-/// `argmin_c (E d(Pᵢ, c) − w_c)`. Same O(n·z·k) distance-eval count as
-/// [`assign_ed`].
+/// `argmin_c (E d(Pᵢ, c) − w_c)`, ties to the lower index. Same O(n·z·k)
+/// distance-eval count as [`assign_ed`]; with all-zero weights it is
+/// [`assign_ed`] comparison for comparison (`x − 0.0 == x` exactly).
 ///
 /// # Panics
 /// Panics when `centers` is empty or `weights.len() != centers.len()`.
@@ -134,11 +131,7 @@ pub fn assign_ed_weighted<P, M: DistanceOracle<P>>(
     weights: &[f64],
     metric: &M,
 ) -> Vec<usize> {
-    assert!(!centers.is_empty(), "need at least one center");
-    assert_eq!(weights.len(), centers.len(), "one weight per center");
-    set.iter()
-        .map(|up| ed_argmin_weighted(up, centers, weights, metric))
-        .collect()
+    ed_sweep(set, centers, Some(weights), metric)
 }
 
 /// [`assign_ed_weighted`] with an execution context; identical output and
@@ -153,18 +146,7 @@ pub fn assign_ed_weighted_exec<P: Sync, M: DistanceOracle<P> + Sync>(
     metric: &M,
     exec: Exec<'_>,
 ) -> Vec<usize> {
-    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
-        return assign_ed_weighted(set, centers, weights, metric);
-    }
-    assert!(!centers.is_empty(), "need at least one center");
-    assert_eq!(weights.len(), centers.len(), "one weight per center");
-    let mut out = vec![0usize; set.n()];
-    ukc_pool::for_each_slice(exec, &mut out, PAR_CHUNK, |start, slice| {
-        for (j, o) in slice.iter_mut().enumerate() {
-            *o = ed_argmin_weighted(&set[start + j], centers, weights, metric);
-        }
-    });
-    out
+    ed_sweep_exec(set, centers, Some(weights), metric, exec)
 }
 
 /// Expected-point assignment: each point goes to the center nearest its

@@ -56,7 +56,9 @@ use std::time::Instant;
 use crate::assignments::AssignmentRule;
 use crate::config::{CertainStrategy, SolverConfig};
 use crate::error::SolveError;
-use crate::problem::{method_string, solve_batch_threads, validate_k, Problem, Solution};
+use crate::problem::{
+    build_id_set, method_string, solve_batch_threads, validate_k, Problem, Solution,
+};
 use crate::report::{Report, WarmStats};
 use ukc_kcenter::gonzalez;
 use ukc_metric::{
@@ -81,31 +83,6 @@ fn warm_supported(problem: &Problem<Point>, config: &SolverConfig) -> Option<&'s
         return Some("space_unsupported");
     }
     None
-}
-
-/// Pushes every realization location of `set` into a fresh store and
-/// mirrors the set into id space, or `None` when the coordinates are
-/// unusable (zero/mixed dimensions, non-finite values) — mirroring the
-/// probe of the cold store path.
-fn build_id_set(
-    set: &UncertainSet<Point>,
-    dim: usize,
-    extra_rows: usize,
-) -> Option<(PointStore, UncertainSet<PointId>)> {
-    if dim == 0 {
-        return None;
-    }
-    let mut store = PointStore::with_capacity(dim, set.total_locations() + extra_rows);
-    let mut id_points: Vec<UncertainPoint<PointId>> = Vec::with_capacity(set.n());
-    for up in set.iter() {
-        let mut ids = Vec::with_capacity(up.z());
-        for loc in up.locations() {
-            ids.push(store.try_push(loc.coords()).ok()?);
-        }
-        let mut next = ids.into_iter();
-        id_points.push(up.map_locations(|_| next.next().expect("one id per location")));
-    }
-    Some((store, UncertainSet::new(id_points)))
 }
 
 impl Solution<Point> {
@@ -211,8 +188,12 @@ fn warm_attempt(
         return Err("centers_not_representatives");
     }
 
+    report.timings.representatives = t.elapsed();
+
+    let t = Instant::now();
     let (mut store, set_ids) =
-        build_id_set(set, reps[0].dim(), n + k).ok_or("store_unavailable")?;
+        build_id_set(set, reps[0].dim(), n + k, |p: &Point| Some(p.coords()))
+            .ok_or("store_unavailable")?;
     let mut rep_ids = Vec::with_capacity(n);
     for rep in &reps {
         rep_ids.push(
@@ -229,7 +210,7 @@ fn warm_attempt(
                 .map_err(|_| "store_unavailable")?,
         );
     }
-    report.timings.representatives = t.elapsed();
+    report.timings.mirror = t.elapsed();
 
     let counter = DistCounter::new();
     let exec = Exec::auto(config.resolved_threads());
@@ -399,7 +380,7 @@ fn solve_loo_store(
         return None;
     }
 
-    let (mut store, set_ids) = build_id_set(set, reps[0].dim(), n)?;
+    let (mut store, set_ids) = build_id_set(set, reps[0].dim(), n, |p: &Point| Some(p.coords()))?;
     let mut rep_ids = Vec::with_capacity(n);
     for rep in reps {
         rep_ids.push(store.try_push(rep.coords()).ok()?);

@@ -633,6 +633,35 @@ pub(crate) fn solve_continuous<P: Clone>(
     Ok(solution)
 }
 
+/// Copies every location of `set` into a fresh [`PointStore`] (with room
+/// for `extra_rows` more rows), point-major in support order, and returns
+/// it with the id mirror: `set` with each location replaced by its row.
+/// `None` when a location has no coordinates, or coordinates that are not
+/// `dim` finite values.
+pub(crate) fn build_id_set<P>(
+    set: &UncertainSet<P>,
+    dim: usize,
+    extra_rows: usize,
+    coords_of: impl Fn(&P) -> Option<&[f64]>,
+) -> Option<(PointStore, UncertainSet<PointId>)> {
+    if dim == 0 {
+        return None;
+    }
+    let mut store = PointStore::with_capacity(dim, set.total_locations() + extra_rows);
+    let mut id_points: Vec<UncertainPoint<PointId>> = Vec::with_capacity(set.n());
+    for up in set.iter() {
+        let mut next = store.len();
+        for loc in up.locations() {
+            store.try_push(coords_of(loc)?).ok()?;
+        }
+        id_points.push(up.map_locations(|_| {
+            next += 1;
+            PointId(next - 1)
+        }));
+    }
+    Some((store, UncertainSet::new(id_points)))
+}
+
 /// The structure-of-arrays fast path of the continuous pipeline: one
 /// [`PointStore`] per solve holds every realization coordinate, every
 /// representative, and (for the grid strategy) every synthesized center;
@@ -663,18 +692,16 @@ fn solve_continuous_store<P: Clone>(
     config: &SolverConfig,
 ) -> Result<Option<Solution<P>>, SolveError> {
     let rule = config.rule();
-    // Probe the space: every location must expose coordinates of one
-    // shared dimension.
-    let mut dim = 0usize;
-    for up in set.iter() {
-        for loc in up.locations() {
-            match space.coords_of(loc) {
-                Some(c) if dim == 0 && !c.is_empty() => dim = c.len(),
-                Some(c) if c.len() == dim => {}
-                _ => return Ok(None),
-            }
-        }
-    }
+    // The first location fixes the dimension; the store build below
+    // rejects any location without coordinates of that dimension.
+    let dim = match set
+        .iter()
+        .next()
+        .and_then(|up| space.coords_of(&up.locations()[0]))
+    {
+        Some(c) if !c.is_empty() => c.len(),
+        _ => return Ok(None),
+    };
     let counter = DistCounter::new();
     let kernel = config.kernel();
     let exec = Exec::auto(config.resolved_threads());
@@ -689,31 +716,20 @@ fn solve_continuous_store<P: Clone>(
         ..Report::default()
     };
 
-    // id -> owning point, parallel to the store, for materializing output
-    // centers without a reverse coordinate conversion.
-    let mut registry: Vec<P> = Vec::with_capacity(set.total_locations() + set.n());
-    let mut store = PointStore::with_capacity(dim, set.total_locations() + set.n());
-    let push = |store: &mut PointStore, registry: &mut Vec<P>, p: &P| -> Option<PointId> {
-        let coords = space.coords_of(p)?;
-        let id = store.try_push(coords).ok()?;
-        registry.push(p.clone());
-        Some(id)
+    // The store's rows are every location (point-major, in support
+    // order, so the flattened id order matches
+    // `UncertainSet::location_pool`), then the representatives, then any
+    // centers a grid solve synthesizes; `materialize` maps a row back to
+    // its owning point by that layout.
+    let t = Instant::now();
+    let Some((mut store, set_ids)) = build_id_set(set, dim, set.n(), |p: &P| space.coords_of(p))
+    else {
+        return Ok(None);
     };
-    // The realization coordinates, point-major in support order (so the
-    // flattened id order matches `UncertainSet::location_pool`).
-    let mut id_points: Vec<UncertainPoint<PointId>> = Vec::with_capacity(set.n());
-    for up in set.iter() {
-        let mut ids = Vec::with_capacity(up.z());
-        for loc in up.locations() {
-            match push(&mut store, &mut registry, loc) {
-                Some(id) => ids.push(id),
-                None => return Ok(None),
-            }
-        }
-        let mut next = ids.iter().copied();
-        id_points.push(up.map_locations(|_| next.next().expect("one id per location")));
-    }
-    let set_ids = UncertainSet::new(id_points);
+    report.timings.mirror = t.elapsed();
+    let push = |store: &mut PointStore, p: &P| -> Option<PointId> {
+        store.try_push(space.coords_of(p)?).ok()
+    };
 
     // Step 1: representatives, O(nz) (ED/EP) or O(nz·iters) (OC) —
     // coordinate arithmetic, not metric evaluations (counted as zero, as
@@ -725,14 +741,16 @@ fn solve_continuous_store<P: Clone>(
         }
         AssignmentRule::OneCenter => set.iter().map(|up| space.one_center(up)).collect(),
     };
+    report.timings.representatives = t.elapsed();
+    let t = Instant::now();
     let mut rep_ids = Vec::with_capacity(reps.len());
     for rep in &reps {
-        match push(&mut store, &mut registry, rep) {
+        match push(&mut store, rep) {
             Some(id) => rep_ids.push(id),
             None => return Ok(None),
         }
     }
-    report.timings.representatives = t.elapsed();
+    report.timings.mirror += t.elapsed();
     report.distance_evals.representatives = counter.count();
 
     // Step 2: certain k-center on the representatives. The weighted mode
@@ -741,6 +759,7 @@ fn solve_continuous_store<P: Clone>(
     // runs the additively-weighted Gonzalez sweep; the chosen centers
     // carry their source points' spreads into assignment and cost.
     let mut center_weights: Option<Vec<f64>> = None;
+    let mut synthesized: Vec<P> = Vec::new();
     let evals_before = counter.count();
     let t = Instant::now();
     let certain: KCenterSolution<PointId> = match config.strategy() {
@@ -781,11 +800,12 @@ fn solve_continuous_store<P: Clone>(
                 Some(sol) => {
                     let mut ids = Vec::with_capacity(sol.centers.len());
                     for c in &sol.centers {
-                        match push(&mut store, &mut registry, c) {
+                        match push(&mut store, c) {
                             Some(id) => ids.push(id),
                             None => return Ok(None),
                         }
                     }
+                    synthesized = sol.centers;
                     KCenterSolution {
                         centers: ids,
                         center_indices: sol.center_indices,
@@ -873,13 +893,27 @@ fn solve_continuous_store<P: Clone>(
         report.distance_evals.lower_bound = counter.since(evals_before);
     }
 
+    // Only the k returned centers are cloned out of the input.
+    let locations = set.total_locations();
+    let materialize = |id: PointId| -> P {
+        let row = id.index();
+        if row < locations {
+            // A location: the owning point is the last one whose first
+            // row is at or before `row`.
+            let points = set_ids.points();
+            let i = points.partition_point(|up| up.locations()[0].index() <= row) - 1;
+            let j = row - points[i].locations()[0].index();
+            set[i].locations()[j].clone()
+        } else if row < locations + reps.len() {
+            reps[row - locations].clone()
+        } else {
+            synthesized[row - locations - reps.len()].clone()
+        }
+    };
+    let centers = certain.centers.iter().map(|&id| materialize(id)).collect();
     report.timings.total = t_total.elapsed();
     Ok(Some(Solution {
-        centers: certain
-            .centers
-            .iter()
-            .map(|id| registry[id.index()].clone())
-            .collect(),
+        centers,
         assignment,
         ecost,
         representatives: reps,

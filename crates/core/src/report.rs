@@ -17,6 +17,10 @@ use ukc_metric::{DistCounter, DistanceOracle, Metric};
 /// Wall-clock time spent in each pipeline stage.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings {
+    /// The structure-of-arrays fast path's set-up: copying coordinates
+    /// into the point store and building the id mirror of the set.
+    /// Zero on the pointwise path.
+    pub mirror: Duration,
     /// Stage 1: representative construction (`P̄` / `P̃`).
     pub representatives: Duration,
     /// Stage 2: the certain k-center solve on the representatives.

@@ -347,6 +347,7 @@ pub fn report_json(report: &Report) -> Json {
         (
             "timings_seconds",
             Json::obj([
+                ("mirror", secs(report.timings.mirror)),
                 ("representatives", secs(report.timings.representatives)),
                 ("certain_solve", secs(report.timings.certain_solve)),
                 ("assignment", secs(report.timings.assignment)),

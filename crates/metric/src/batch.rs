@@ -47,6 +47,7 @@
 //! never changes instrumentation.
 
 use crate::store::{PointId, PointStore};
+use crate::DiscreteDistribution;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use ukc_pool::Exec;
@@ -436,6 +437,12 @@ pub mod tile {
             &self.coords[g * self.dim * TILE_CENTERS..(g + 1) * self.dim * TILE_CENTERS]
         }
 
+        /// The (`+∞`-padded) squared norms of every panel, in order.
+        #[inline]
+        pub fn norms_sq(&self) -> &[f64] {
+            &self.norms_sq
+        }
+
         /// The (possibly `+∞`-padded) squared norms of panel `g`.
         #[inline]
         pub fn panel_norms_sq(&self, g: usize) -> &[f64; TILE_CENTERS] {
@@ -488,11 +495,8 @@ pub mod tile {
         let d = panel.len() / TILE_CENTERS;
         assert!(row.len() >= d, "row shorter than panel dimension");
         let mut acc = [0.0f64; TILE_CENTERS];
-        for t in 0..d {
-            let cv: &[f64; TILE_CENTERS] = panel[t * TILE_CENTERS..(t + 1) * TILE_CENTERS]
-                .try_into()
-                .expect("panel stride");
-            let x = row[t].widen();
+        for (&x, cv) in row.iter().zip(panel.chunks_exact(TILE_CENTERS)) {
+            let x = x.widen();
             for c in 0..TILE_CENTERS {
                 acc[c] += x * cv[c];
             }
@@ -1925,6 +1929,211 @@ fn nearest_each_weighted_tiled<T: tile::Coord>(
     }
 }
 
+// ---------------------------------------------------------------------------
+// Expected-distance sweep: the ED assignment rule over uncertain points.
+//
+// The sweep packs the centers into `tile::CenterPanels` once per call and
+// streams every location row past them, four centers per step. Each
+// kernel gets a panel micro-kernel whose lane `c` performs exactly the
+// floating-point operation sequence of that kernel's single-pair form
+// against center `c` — `dist_sq_scalar`, `dist_sq_blocked` over the
+// blocked-tree norms, or the tiled `dot_seq` form — so every distance is
+// bit-identical to `pair_dist`, only computed four lanes at a time.
+// ---------------------------------------------------------------------------
+
+/// Lane `c` is [`dist_sq_scalar`]`(row, center c)`: one accumulator per
+/// lane, ascending dimension. (`.sum()` starts from `-0.0`, this from
+/// `0.0`; squares are never `-0.0`, so both give the same bits.)
+#[inline]
+fn dist_sq_scalar_panel(row: &[f64], panel: &[f64]) -> [f64; tile::TILE_CENTERS] {
+    let mut acc = [0.0f64; tile::TILE_CENTERS];
+    for (&x, cv) in row.iter().zip(panel.chunks_exact(tile::TILE_CENTERS)) {
+        for c in 0..tile::TILE_CENTERS {
+            let d = x - cv[c];
+            acc[c] += d * d;
+        }
+    }
+    acc
+}
+
+/// Lane-wise `a + b`.
+#[inline(always)]
+fn add_lanes(
+    mut a: [f64; tile::TILE_CENTERS],
+    b: [f64; tile::TILE_CENTERS],
+) -> [f64; tile::TILE_CENTERS] {
+    for c in 0..tile::TILE_CENTERS {
+        a[c] += b[c];
+    }
+    a
+}
+
+/// Lane `c` is [`dot_blocked`]`(row, center c)`: the fixed [`dot8`] tree
+/// at `d = 8`, else eight strided accumulators, a sequential tail, and
+/// the same reduction tree.
+#[inline]
+fn dot_blocked_panel(row: &[f64], panel: &[f64]) -> [f64; tile::TILE_CENTERS] {
+    const L: usize = tile::TILE_CENTERS;
+    let col =
+        |t: usize| -> [f64; L] { panel[t * L..(t + 1) * L].try_into().expect("panel stride") };
+    let tree = |a: &[[f64; L]; 8]| {
+        add_lanes(
+            add_lanes(add_lanes(a[0], a[4]), add_lanes(a[1], a[5])),
+            add_lanes(add_lanes(a[2], a[6]), add_lanes(a[3], a[7])),
+        )
+    };
+    if let Ok(xs) = <&[f64; 8]>::try_from(row) {
+        return tree(&std::array::from_fn(|t| col(t).map(|y| xs[t] * y)));
+    }
+    let term = |t: usize| col(t).map(|y| row[t] * y);
+    let blocks = row.len() / 8;
+    let mut acc = [[0.0f64; L]; 8];
+    for b in 0..blocks {
+        for (lane, acc) in acc.iter_mut().enumerate() {
+            *acc = add_lanes(*acc, term(b * 8 + lane));
+        }
+    }
+    let mut tail = [0.0f64; L];
+    for t in blocks * 8..row.len() {
+        tail = add_lanes(tail, term(t));
+    }
+    add_lanes(tree(&acc), tail)
+}
+
+/// The factorized squared distance `(‖a‖² + ‖c‖² − 2a·c)⁺` from the
+/// two norms and the dot, in [`dist_sq_blocked`]'s operation order.
+#[inline(always)]
+fn factorized_dist_sq(a_norm_sq: f64, c_norm_sq: f64, dot: f64) -> f64 {
+    ((a_norm_sq + c_norm_sq) - 2.0 * dot).max(0.0)
+}
+
+/// Fills `out[i]` with the index of the center minimizing the expected
+/// distance `Σⱼ pᵢⱼ·d(Pᵢⱼ, c)` from `points[i]` (less `weights[c]` when
+/// weights are given), ties toward the lower index — the batched ED
+/// assignment sweep behind [`crate::StoreOracle`]'s
+/// [`crate::DistanceOracle::expected_nearest_each`].
+///
+/// Every pair uses exactly the arithmetic of [`pair_dist`] under
+/// `kernel` (no [`Kernel::dispatch`]: the pointwise loop this replaces
+/// never dispatched either; the tiled kernel reads the f32 mirror when
+/// the store carries one), and each center's terms are summed in support
+/// order starting from the first term, which is what `.sum()` computes.
+/// The output is therefore identical to the trait's default per-pair
+/// loop over the same oracle. Sequential: callers chunk `points` across
+/// lanes.
+///
+/// # Panics
+/// Panics when `out` is shorter than `points`, when `weights` and
+/// `centers` differ in length, or when `centers` is empty while `points`
+/// is not.
+pub fn expected_nearest_each<S: DiscreteDistribution<PointId>>(
+    store: &PointStore,
+    points: &[S],
+    centers: &[PointId],
+    weights: Option<&[f64]>,
+    kernel: Kernel,
+    out: &mut [usize],
+) {
+    crate::check_expected_nearest_args(points.len(), centers.len(), weights, out.len());
+    if points.is_empty() {
+        return;
+    }
+    let coords = |c: usize, t: usize| store.coords(centers[c])[t];
+    let row = |id: PointId| (store.coords(id), store.norm_sq(id));
+    match kernel {
+        Kernel::Scalar => {
+            let panels = tile::CenterPanels::pack(centers.len(), store.dim(), coords, |_| 0.0);
+            let (lanes, finish) = (dist_sq_scalar_panel, |_: f64, _: f64, d_sq: f64| d_sq);
+            expected_nearest_panels(points, &panels, weights, out, row, lanes, finish);
+        }
+        Kernel::Blocked => {
+            let panels = tile::CenterPanels::pack(centers.len(), store.dim(), coords, |c| {
+                store.norm_sq(centers[c])
+            });
+            let (lanes, finish) = (dot_blocked_panel, factorized_dist_sq);
+            expected_nearest_panels(points, &panels, weights, out, row, lanes, finish);
+        }
+        Kernel::Tiled => {
+            if let Some(v) = tiled_view_f32(store) {
+                expected_nearest_tiled(&v, points, centers, weights, out);
+            } else {
+                expected_nearest_tiled(&tiled_view_f64(store), points, centers, weights, out);
+            }
+        }
+    }
+}
+
+fn expected_nearest_tiled<T: tile::Coord, S: DiscreteDistribution<PointId>>(
+    v: &TiledView<'_, T>,
+    points: &[S],
+    centers: &[PointId],
+    weights: Option<&[f64]>,
+    out: &mut [usize],
+) {
+    let panels = pack_panels(v, centers);
+    let row = |id: PointId| (v.row(id), v.norm_sq(id));
+    let (lanes, finish) = (tile::dot_panel, factorized_dist_sq);
+    expected_nearest_panels(points, &panels, weights, out, row, lanes, finish);
+}
+
+/// The shared sweep body. For each point, every location row goes past
+/// every panel through `lanes` (four per-center values per panel), then
+/// `finish(row norm, center norm, value)` turns each value into a squared
+/// distance; the distances, weighted by the location's probability, fold
+/// into their centers' running sums in support order. Last comes the
+/// strict-`<` argmin over the real centers (padded panel columns
+/// accumulate values it never reads).
+fn expected_nearest_panels<'a, T: 'a, S: DiscreteDistribution<PointId>>(
+    points: &[S],
+    panels: &tile::CenterPanels,
+    weights: Option<&[f64]>,
+    out: &mut [usize],
+    row: impl Fn(PointId) -> (&'a [T], f64),
+    lanes: impl Fn(&[T], &[f64]) -> [f64; tile::TILE_CENTERS],
+    finish: impl Fn(f64, f64, f64) -> f64,
+) {
+    let padded = panels.n_panels() * tile::TILE_CENTERS;
+    let mut dist = vec![0.0f64; padded];
+    let mut sums = vec![0.0f64; padded];
+    for (up, o) in points.iter().zip(out.iter_mut()) {
+        for (j, (&loc, &p)) in up.locations().iter().zip(up.probs()).enumerate() {
+            let (r, n) = row(loc);
+            let norms = panels.norms_sq().chunks_exact(tile::TILE_CENTERS);
+            for (g, (d, cn)) in dist
+                .chunks_exact_mut(tile::TILE_CENTERS)
+                .zip(norms)
+                .enumerate()
+            {
+                let v = lanes(r, panels.panel_coords(g));
+                for c in 0..tile::TILE_CENTERS {
+                    d[c] = finish(n, cn[c], v[c]).sqrt();
+                }
+            }
+            if j == 0 {
+                // `.sum()` adds the first term onto `-0.0`, which leaves
+                // it unchanged.
+                for (s, &d) in sums.iter_mut().zip(&dist) {
+                    *s = p * d;
+                }
+            } else {
+                for (s, &d) in sums.iter_mut().zip(&dist) {
+                    *s += p * d;
+                }
+            }
+        }
+        let mut best = 0usize;
+        let mut best_v = f64::INFINITY;
+        for (c, &e) in sums[..panels.len()].iter().enumerate() {
+            let v = weights.map_or(e, |w| e - w[c]);
+            if v < best_v {
+                best_v = v;
+                best = c;
+            }
+        }
+        *o = best;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1942,6 +2151,36 @@ mod tests {
             .map(|_| Point::new((0..d).map(|_| rnd() * 10.0 - 5.0).collect()))
             .collect();
         PointStore::from_points(&pts)
+    }
+
+    #[test]
+    fn ed_panel_lanes_match_the_single_pair_kernels_bitwise() {
+        // Lane c of each ED micro-kernel must be the per-pair kernel
+        // against center c, bit for bit, in every dimension class: below
+        // one dot block, exactly the d = 8 tree, blocks plus a tail.
+        for d in [1usize, 2, 3, 7, 8, 9, 16, 19] {
+            let st = store(d as u64 + 40, 9, d);
+            let centers: Vec<PointId> = (4..9).map(PointId).collect();
+            let coords = |c: usize, t: usize| st.coords(centers[c])[t];
+            let panels = tile::CenterPanels::pack(centers.len(), d, coords, |_| 0.0);
+            for row in (0..4).map(PointId) {
+                let a = st.coords(row);
+                for g in 0..panels.n_panels() {
+                    let scalar = dist_sq_scalar_panel(a, panels.panel_coords(g));
+                    let blocked = dot_blocked_panel(a, panels.panel_coords(g));
+                    for (c, &id) in centers.iter().enumerate().skip(g * 4).take(4) {
+                        let b = st.coords(id);
+                        let lane = c % 4;
+                        assert_eq!(scalar[lane].to_bits(), dist_sq_scalar(a, b).to_bits());
+                        assert_eq!(blocked[lane].to_bits(), dot_blocked(a, b).to_bits());
+                        let dist =
+                            factorized_dist_sq(st.norm_sq(row), st.norm_sq(id), blocked[lane]);
+                        let reference = dist_sq_blocked(a, st.norm_sq(row), b, st.norm_sq(id));
+                        assert_eq!(dist.to_bits(), reference.to_bits(), "d={d}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

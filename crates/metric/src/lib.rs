@@ -93,6 +93,18 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
     }
 }
 
+/// A finite probability distribution over locations of type `P` — the
+/// shape [`DistanceOracle::expected_nearest_each`] sweeps (the uncertain
+/// points of `ukc-uncertain` implement it).
+pub trait DiscreteDistribution<P> {
+    /// The support locations.
+    fn locations(&self) -> &[P];
+
+    /// The probability of each location, parallel to
+    /// [`DiscreteDistribution::locations`].
+    fn probs(&self) -> &[f64];
+}
+
 /// A [`Metric`] that additionally answers *batched* distance queries —
 /// the trait every solver hot loop is written against.
 ///
@@ -170,6 +182,47 @@ pub trait DistanceOracle<P>: Metric<P> {
             *o = self
                 .nearest(q, centers)
                 .expect("nearest_each requires at least one center");
+        }
+    }
+
+    /// Fills `out[i]` with the index of the center of smallest expected
+    /// distance `Σⱼ pᵢⱼ·d(Pᵢⱼ, c)` from `points[i]` — less `weights[c]`
+    /// when weights are given — ties toward the lower index: the ED
+    /// assignment sweep (paper Theorem 2.2). The default sums each
+    /// center's terms in support order with `.sum()`, exactly as
+    /// `ukc_uncertain::expected_distance` does. Elementwise per point, so
+    /// callers may chunk `points` across lanes without changing any
+    /// result.
+    ///
+    /// # Panics
+    /// Panics when `out` is shorter than `points`, when `weights` and
+    /// `centers` differ in length, or when `centers` is empty while
+    /// `points` is not.
+    fn expected_nearest_each<S: DiscreteDistribution<P>>(
+        &self,
+        points: &[S],
+        centers: &[P],
+        weights: Option<&[f64]>,
+        out: &mut [usize],
+    ) {
+        check_expected_nearest_args(points.len(), centers.len(), weights, out.len());
+        for (up, o) in points.iter().zip(out.iter_mut()) {
+            let mut best = 0usize;
+            let mut best_v = f64::INFINITY;
+            for (c, center) in centers.iter().enumerate() {
+                let e: f64 = up
+                    .locations()
+                    .iter()
+                    .zip(up.probs())
+                    .map(|(loc, p)| p * self.dist(loc, center))
+                    .sum();
+                let v = weights.map_or(e, |w| e - w[c]);
+                if v < best_v {
+                    best_v = v;
+                    best = c;
+                }
+            }
+            *o = best;
         }
     }
 
@@ -275,6 +328,24 @@ pub trait DistanceOracle<P>: Metric<P> {
     }
 }
 
+/// The argument checks shared by every
+/// [`DistanceOracle::expected_nearest_each`] implementation.
+pub(crate) fn check_expected_nearest_args(
+    points: usize,
+    centers: usize,
+    weights: Option<&[f64]>,
+    out: usize,
+) {
+    assert!(out >= points, "output buffer too small");
+    if let Some(w) = weights {
+        assert_eq!(centers, w.len(), "one weight per center required");
+    }
+    assert!(
+        points == 0 || centers > 0,
+        "expected_nearest_each requires at least one center"
+    );
+}
+
 impl<P> DistanceOracle<P> for Euclidean where Euclidean: Metric<P> {}
 impl<P> DistanceOracle<P> for Manhattan where Manhattan: Metric<P> {}
 impl<P> DistanceOracle<P> for Chebyshev where Chebyshev: Metric<P> {}
@@ -302,6 +373,16 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
 
     fn nearest_each(&self, queries: &[P], centers: &[P], out: &mut [(usize, f64)]) {
         (**self).nearest_each(queries, centers, out)
+    }
+
+    fn expected_nearest_each<S: DiscreteDistribution<P>>(
+        &self,
+        points: &[S],
+        centers: &[P],
+        weights: Option<&[f64]>,
+        out: &mut [usize],
+    ) {
+        (**self).expected_nearest_each(points, centers, weights, out)
     }
 
     fn dists_to_set_min_weighted(

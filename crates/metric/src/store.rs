@@ -19,7 +19,7 @@
 
 use crate::batch::{self, DistCounter, Kernel};
 use crate::point::{Point, PointError};
-use crate::{DistanceOracle, Metric};
+use crate::{DiscreteDistribution, DistanceOracle, Metric};
 use ukc_pool::Exec;
 
 /// Index of a point inside a [`PointStore`].
@@ -467,6 +467,24 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         }
         self.tally(queries.len() * centers.len());
         batch::par_nearest_center_each(self.store, queries, centers, self.kernel, self.exec, out);
+    }
+
+    /// One tally of `Σᵢ zᵢ·k` per call, then the sequential
+    /// [`batch::expected_nearest_each`] sweep under this oracle's kernel —
+    /// the same pair arithmetic as [`Metric::dist`], so the output equals
+    /// the default per-pair loop's. The oracle's execution context is not
+    /// used: the per-point result is independent of chunking, so callers
+    /// chunk `points` across lanes themselves.
+    fn expected_nearest_each<S: DiscreteDistribution<PointId>>(
+        &self,
+        points: &[S],
+        centers: &[PointId],
+        weights: Option<&[f64]>,
+        out: &mut [usize],
+    ) {
+        let locations: usize = points.iter().map(|up| up.locations().len()).sum();
+        batch::expected_nearest_each(self.store, points, centers, weights, self.kernel, out);
+        self.tally(locations * centers.len());
     }
 
     fn dists_to_set_min_weighted(

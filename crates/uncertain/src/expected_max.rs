@@ -150,8 +150,11 @@ pub fn try_expected_max(vars: &[Vec<(f64, f64)>]) -> Result<f64, AtomsError> {
     // large n (e.g. 1000 factors of 0.1), so it is maintained in log space:
     // log_product = Σ ln cᵢ over the non-zero CDFs, plus a count of the
     // variables whose CDF is still exactly zero. The additive log updates
-    // drift slowly; a periodic rebuild cancels it.
+    // drift slowly; a periodic rebuild cancels it. `ln_cdf[i]` caches
+    // `cdf[i].ln()` for every non-zero CDF, so each update takes one `ln`
+    // and the rebuild none.
     let mut cdf = vec![0.0f64; n];
+    let mut ln_cdf = vec![0.0f64; n];
     let mut log_product = 0.0f64;
     let mut zeros = n;
     let mut prev_g = 0.0f64;
@@ -167,19 +170,26 @@ pub fn try_expected_max(vars: &[Vec<(f64, f64)>]) -> Result<f64, AtomsError> {
             let (_, i, p) = atoms[t];
             let old = cdf[i];
             let new = old + p;
+            let ln_new = new.ln();
             if old == 0.0 {
                 zeros -= 1;
-                log_product += new.ln();
+                log_product += ln_new;
             } else {
-                log_product += new.ln() - old.ln();
+                log_product += ln_new - ln_cdf[i];
             }
             cdf[i] = new;
+            ln_cdf[i] = ln_new;
             updates_since_rebuild += 1;
             t += 1;
         }
         if updates_since_rebuild >= 4096 {
             // Rebuild the log-sum to cancel additive drift.
-            log_product = cdf.iter().filter(|&&c| c > 0.0).map(|c| c.ln()).sum();
+            log_product = cdf
+                .iter()
+                .zip(&ln_cdf)
+                .filter(|&(&c, _)| c > 0.0)
+                .map(|(_, &l)| l)
+                .sum();
             updates_since_rebuild = 0;
         }
         let g = if zeros == 0 {
@@ -441,6 +451,104 @@ mod tests {
             "with 8000 uniform atoms the max should be near 1, got {e}"
         );
         assert!(e <= 1.0 + 1e-9);
+    }
+
+    /// The sweep as it stood before `ln_cdf` cached the logarithms: two
+    /// `ln` calls per update and a full `ln` pass per rebuild. Inputs
+    /// are assumed valid.
+    fn expected_max_uncached(vars: &[Vec<(f64, f64)>]) -> f64 {
+        let n = vars.len();
+        let mut atoms: Vec<(f64, usize, f64)> = Vec::new();
+        for (i, var) in vars.iter().enumerate() {
+            for &(v, p) in var {
+                if p > 0.0 {
+                    atoms.push((v, i, p));
+                }
+            }
+        }
+        atoms.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let mut cdf = vec![0.0f64; n];
+        let mut log_product = 0.0f64;
+        let mut zeros = n;
+        let mut prev_g = 0.0f64;
+        let mut expectation = 0.0f64;
+        let mut updates_since_rebuild = 0usize;
+        let mut t = 0;
+        while t < atoms.len() {
+            let v = atoms[t].0;
+            while t < atoms.len() && atoms[t].0 == v {
+                let (_, i, p) = atoms[t];
+                let old = cdf[i];
+                let new = old + p;
+                if old == 0.0 {
+                    zeros -= 1;
+                    log_product += new.ln();
+                } else {
+                    log_product += new.ln() - old.ln();
+                }
+                cdf[i] = new;
+                updates_since_rebuild += 1;
+                t += 1;
+            }
+            if updates_since_rebuild >= 4096 {
+                log_product = cdf.iter().filter(|&&c| c > 0.0).map(|c| c.ln()).sum();
+                updates_since_rebuild = 0;
+            }
+            let g = if zeros == 0 {
+                log_product.exp().min(1.0)
+            } else {
+                0.0
+            };
+            let delta = g - prev_g;
+            if delta > 0.0 {
+                expectation += v * delta;
+            }
+            prev_g = g;
+        }
+        expectation
+    }
+
+    #[test]
+    fn cached_logs_are_bit_identical_to_the_uncached_sweep() {
+        let mut s: u64 = 0x5EED;
+        let mut rnd = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (trial, n) in [1usize, 7, 900, 3_000, 6_000].into_iter().enumerate() {
+            let vars: Vec<Vec<(f64, f64)>> = (0..n)
+                .map(|i| {
+                    let z = 1 + i % 6;
+                    let mut ps: Vec<f64> = (0..z).map(|_| rnd() + 0.01).collect();
+                    // Every third variable carries a zero-probability atom.
+                    if i % 3 == 0 && z > 1 {
+                        ps[0] = 0.0;
+                    }
+                    let total: f64 = ps.iter().sum();
+                    // Values on a coarse grid, so many atoms tie across
+                    // variables.
+                    ps.iter()
+                        .map(|&p| ((rnd() * 400.0).floor() / 8.0, p / total))
+                        .collect()
+                })
+                .collect();
+            let updates: usize = vars
+                .iter()
+                .map(|v| v.iter().filter(|a| a.1 > 0.0).count())
+                .sum();
+            if n >= 3_000 {
+                assert!(updates > 2 * 4096, "trial {trial}: rebuilds must run");
+            }
+            let cached = expected_max(&vars);
+            let uncached = expected_max_uncached(&vars);
+            assert_eq!(
+                cached.to_bits(),
+                uncached.to_bits(),
+                "trial {trial}, n = {n}"
+            );
+        }
     }
 
     #[test]

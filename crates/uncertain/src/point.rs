@@ -185,6 +185,18 @@ impl<P> UncertainPoint<P> {
     }
 }
 
+impl<P> ukc_metric::DiscreteDistribution<P> for UncertainPoint<P> {
+    #[inline]
+    fn locations(&self) -> &[P] {
+        &self.locations
+    }
+
+    #[inline]
+    fn probs(&self) -> &[f64] {
+        &self.probs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,7 @@
 //! Non-flaky perf smoke: the tiled kernel must not be slower than the
-//! scalar kernel on the fused assignment sweep it was built for.
+//! scalar kernel on the fused assignment sweep it was built for, and the
+//! batched expected-distance (ED) sweep must not be slower than the
+//! per-pair loop it replaces.
 //!
 //! `#[ignore]`d because it is only meaningful in release mode; CI runs
 //! it explicitly via
@@ -109,5 +111,78 @@ fn weighted_tiled_assignment_is_not_slower_than_weighted_scalar() {
     assert!(
         speedup >= 1.0,
         "weighted tiled kernel regressed below weighted scalar parity: {speedup:.2}x"
+    );
+}
+
+/// The trait-default ED loop over a `StoreOracle`'s pair arithmetic:
+/// one `Metric::dist` call (and one counter tick) per pair.
+struct PerPair<'a>(StoreOracle<'a>);
+
+impl Metric<PointId> for PerPair<'_> {
+    fn dist(&self, a: &PointId, b: &PointId) -> f64 {
+        self.0.dist(a, b)
+    }
+}
+
+impl DistanceOracle<PointId> for PerPair<'_> {}
+
+/// Best-of-N seconds for one sequential ED assignment sweep through
+/// `metric`.
+fn best_ed_secs<M: DistanceOracle<PointId>>(
+    set_ids: &UncertainSet<PointId>,
+    centers: &[PointId],
+    metric: &M,
+) -> f64 {
+    let mut best = f64::INFINITY;
+    let mut out = Vec::new();
+    for _ in 0..ROUNDS {
+        let t = Instant::now();
+        out = assign_ed(set_ids, centers, metric);
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    assert!(out.iter().all(|&c| c < centers.len()));
+    best
+}
+
+/// The batched ED sweep (`StoreOracle::expected_nearest_each`) against
+/// the default per-pair loop it overrides. Both evaluate the same pairs
+/// with the same arithmetic; the override does it four centers per step
+/// with one counter tally per call, so it has no work the loop skips and
+/// parity is the floor here too.
+#[test]
+#[ignore = "perf assertion; run in release mode via CI's perf-smoke step"]
+fn batched_ed_sweep_is_not_slower_than_the_per_pair_loop() {
+    const ED_N: usize = 5_000;
+    const ED_Z: usize = 4;
+    const ED_DIM: usize = 8;
+    const ED_K: usize = 64;
+    let set = clustered(4244, ED_N, ED_Z, ED_DIM, 16, 5.0, 1.0, ProbModel::Random);
+    let (store, set_ids) = set.indexed_store();
+    assert!(store.len() >= 20_000);
+    let centers: Vec<PointId> = (0..ED_K)
+        .map(|i| PointId(i * (store.len() / ED_K)))
+        .collect();
+    let kernel = Kernel::default();
+    let counter = DistCounter::new();
+    let batched = best_ed_secs(
+        &set_ids,
+        &centers,
+        &StoreOracle::new(&store, kernel).with_counter(&counter),
+    );
+    let per_pair = best_ed_secs(
+        &set_ids,
+        &centers,
+        &PerPair(StoreOracle::new(&store, kernel).with_counter(&counter)),
+    );
+    let speedup = per_pair / batched;
+    eprintln!(
+        "perf-smoke ED sweep locations={} d={ED_DIM} k={ED_K} kernel={}: per-pair {per_pair:.6}s, \
+         batched {batched:.6}s, speedup {speedup:.2}x",
+        store.len(),
+        kernel.name()
+    );
+    assert!(
+        speedup >= 1.0,
+        "batched ED sweep regressed below the per-pair loop: {speedup:.2}x"
     );
 }
