@@ -1,8 +1,7 @@
 //! Criterion version of the EXPERIMENTS.md scaling studies S1/S2: the
 //! O(z) expected point and the O(nz + nk) pipeline, plus the
-//! `kernel_comparison` group pitting the scalar, blocked, and tiled
-//! distance kernels (the latter also with the opt-in f32 storage
-//! mirror) against each other on two workloads — Gonzalez sweeps and
+//! `kernel_comparison` group pitting the scalar and tiled distance
+//! kernels against each other on two workloads — Gonzalez sweeps and
 //! fused nearest-center assignment — the numbers behind
 //! `BENCH_kernel.json`.
 
@@ -119,17 +118,6 @@ fn assign_store(
     out.iter().map(|&(_, d)| d).fold(0.0, f64::max)
 }
 
-/// The kernel variants of the comparison grid: every kernel over f64
-/// storage, plus the tiled kernel over the opt-in f32 mirror.
-fn kernel_variants() -> [(&'static str, Kernel, &'static str); 4] {
-    [
-        ("scalar", Kernel::Scalar, "f64"),
-        ("blocked", Kernel::Blocked, "f64"),
-        ("tiled", Kernel::Tiled, "f64"),
-        ("tiled", Kernel::Tiled, "f32"),
-    ]
-}
-
 /// Kernel throughput across the (workload, n, d) matrix of the
 /// perf-tracking acceptance grid: `gonzalez` (sequential center passes,
 /// memory-bandwidth-bound at large n) and `assign` (the fused n×k
@@ -153,11 +141,6 @@ fn bench_kernel_comparison(c: &mut Criterion) {
         }
         for &d in &[2usize, 8, 32] {
             let store = coord_store(42, n, d);
-            let store_f32 = {
-                let mut s = store.clone();
-                s.try_enable_f32().expect("bench coords fit f32");
-                s
-            };
             let ids = store.ids();
             let centers: Vec<ukc_metric::PointId> = (0..KERNEL_K)
                 .map(|i| ukc_metric::PointId(i * (n / KERNEL_K)))
@@ -170,21 +153,15 @@ fn bench_kernel_comparison(c: &mut Criterion) {
                 ("assign", (KERNEL_K * n) as u64),
             ] {
                 g.throughput(Throughput::Elements(evals));
-                for (label, kernel, storage) in kernel_variants() {
-                    let st = if storage == "f32" { &store_f32 } else { &store };
+                for kernel in Kernel::ALL {
                     let id = format!("{workload}_n{n}_d{d}");
-                    let tag = if storage == "f32" {
-                        format!("{label}_f32")
-                    } else {
-                        label.to_string()
-                    };
                     let run = |out: &mut [(usize, f64)]| -> f64 {
                         match workload {
-                            "gonzalez" => gonzalez_store(black_box(st), &ids, kernel),
-                            _ => assign_store(black_box(st), &ids, &centers, kernel, out),
+                            "gonzalez" => gonzalez_store(black_box(&store), &ids, kernel),
+                            _ => assign_store(black_box(&store), &ids, &centers, kernel, out),
                         }
                     };
-                    g.bench_with_input(BenchmarkId::new(id, &tag), &kernel, |b, _| {
+                    g.bench_with_input(BenchmarkId::new(id, kernel.name()), &kernel, |b, _| {
                         b.iter(|| run(&mut assign_out))
                     });
                     if record {
@@ -203,8 +180,7 @@ fn bench_kernel_comparison(c: &mut Criterion) {
                             ("n", Json::from(n)),
                             ("d", Json::from(d)),
                             ("k", Json::from(KERNEL_K)),
-                            ("kernel", Json::from(label)),
-                            ("storage", Json::from(storage)),
+                            ("kernel", Json::from(kernel.name())),
                             ("seconds", Json::from(best)),
                             ("pair_evals", Json::from(evals as f64)),
                             ("evals_per_sec", Json::from(evals as f64 / best)),

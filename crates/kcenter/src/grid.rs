@@ -132,17 +132,11 @@ pub fn grid_kcenter_exec(
     }
     let keep_radius = r_hat + delta * sqrt_d;
     let near_input = |store: &PointStore, coords: &[f64]| -> bool {
-        let cand_norm_sq = batch::dot_blocked(coords, coords);
+        // Grid vertices are synthesized coordinates, not store rows, so
+        // the vertex norm is computed here, in the store's norm order.
+        let cand_norm_sq = batch::tile::dot_seq(coords, coords);
         point_ids.iter().any(|&p| {
-            let d_sq = match opts.kernel {
-                Kernel::Scalar => batch::dist_sq_scalar(store.coords(p), coords),
-                // Grid vertices are synthesized coordinates, not store
-                // rows, so the tiled caches don't apply; blocked
-                // arithmetic shares its tolerance contract.
-                Kernel::Blocked | Kernel::Tiled => {
-                    batch::dist_sq_blocked(store.coords(p), store.norm_sq(p), coords, cand_norm_sq)
-                }
-            };
+            let d_sq = batch::dist_sq_to_coords(store, p, coords, cand_norm_sq, opts.kernel);
             d_sq.sqrt() <= keep_radius
         })
     };

@@ -1,18 +1,13 @@
 //! Batched Euclidean distance kernels over a [`PointStore`].
 //!
-//! Three interchangeable kernels compute every routine:
+//! Two interchangeable kernels compute every routine:
 //!
 //! * [`Kernel::Scalar`] — per-pair difference-and-square with sequential
 //!   summation, the exact arithmetic of [`crate::Point::dist`]. Results
 //!   are bit-identical to the pointwise [`crate::Euclidean`] metric; this
 //!   is the reference path the golden-equivalence suites pin against.
-//! * [`Kernel::Blocked`] — the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` form over
-//!   8-wide unrolled dot products, using the store's cached squared
-//!   norms. Faster (independent accumulators expose instruction-level
-//!   parallelism and vectorize), but the different f64 summation order
-//!   perturbs results by a few ulps; callers needing bit-stability pick
-//!   `Scalar`.
-//! * [`Kernel::Tiled`] — the same norm factorization restructured as a
+//! * [`Kernel::Tiled`] (the default) — the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b`
+//!   factorization over the store's cached squared norms, structured as a
 //!   register-tiled mini-GEMM (see [`tile`]): multi-center sweeps
 //!   ([`dists_to_centers_min`], [`nearest_center_each`]) pack
 //!   [`tile::TILE_CENTERS`] centers into a column-major panel that stays
@@ -20,11 +15,8 @@
 //!   [`tile::TILE_POINTS`] rows per block, with the d-loop as the only
 //!   real loop around a fully unrolled 4×4 block of
 //!   `[f64; TILE_CENTERS]` lane accumulators the autovectorizer keeps in
-//!   vector registers. When the store carries the opt-in f32 mirror
-//!   ([`PointStore::try_enable_f32`]), the tiled kernel streams the
-//!   half-width coordinates and widens each element to f64 before any
-//!   arithmetic, halving memory traffic in bandwidth-bound regimes while
-//!   keeping f64 accumulation tolerances.
+//!   vector registers. The different summation order perturbs results by
+//!   a few ulps; callers needing bit-stability pick `Scalar`.
 //!
 //! Every tiled dot product — single pair, single-center sweep, or panel
 //! block — accumulates in one canonical order (ascending dimension, one
@@ -34,21 +26,30 @@
 //! the stored coordinates: block membership, chunk boundaries, and lane
 //! counts never perturb a result bit.
 //!
-//! The factorized kernels lose to the scalar loop on tiny sweeps (the
-//! norm lookups and reduction trees cost more than they save), so the
-//! public entry points re-dispatch through [`Kernel::dispatch`]: below a
-//! measured work cutoff `Blocked` and `Tiled` fall back to the scalar
-//! loop. The decision depends only on the sweep size and dimension —
-//! never on thread count or chunking — so it preserves the
-//! execution-layer determinism contract.
+//! The tiled kernel loses to the scalar loop on tiny sweeps (the norm
+//! lookups and reduction trees cost more than they save), so the public
+//! entry points re-dispatch through [`Kernel::dispatch`]: below a
+//! measured work cutoff `Tiled` falls back to the scalar loop. The
+//! decision depends only on the sweep size and dimension — never on
+//! thread count or chunking — so it preserves the execution-layer
+//! determinism contract.
 //!
-//! All kernels perform — and [`DistCounter`]-instrumented callers count —
-//! exactly one distance evaluation per point-pair, so switching kernels
+//! Each of the four sweep shapes — [`dists_to_set_min`],
+//! [`nearest_center`], [`dists_to_centers_min`] and
+//! [`nearest_center_each`] — also comes in an additively weighted
+//! (Apollonius) form, `d(p, cᵢ) − wᵢ`. Plain and weighted share one body
+//! per shape, generic over the center weights: a zero-sized "no weights"
+//! type or a per-center weight slice. The plain instantiation keeps the
+//! plain arithmetic exactly.
+//!
+//! Both kernels perform — and [`DistCounter`]-instrumented callers count
+//! — exactly one distance evaluation per point-pair, so switching kernels
 //! never changes instrumentation.
 
 use crate::store::{PointId, PointStore};
 use crate::DiscreteDistribution;
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use ukc_pool::Exec;
 
@@ -66,12 +67,14 @@ pub const PAR_MIN_POINTS: usize = 4096;
 /// Below this dimension the norm factorization never pays: the cached
 /// norm lookups and reduction machinery cost more than the one or two
 /// multiplies they save (BENCH_kernel.json `d = 2` rows lose at every
-/// `n`), so [`Kernel::dispatch`] demotes factorized kernels to scalar.
+/// `n`), so [`Kernel::dispatch`] demotes the tiled kernel to scalar.
 pub const FACTORIZED_MIN_DIM: usize = 3;
 
-/// Minimum `pair_evals · dim` (total multiply-add work) before a
-/// factorized kernel beats the scalar loop (measured: blocked loses at
-/// `n = 1k, d = 8` — 8k work — and wins from `n = 1k, d = 32` — 32k).
+/// Minimum `pair_evals · dim` (total multiply-add work) before the tiled
+/// kernel beats the scalar loop. BENCH_kernel.json: the `n = 1k, d = 8`
+/// Gonzalez passes (8k work) sit below the cutoff and run the scalar
+/// loop, while the `n = 1k, d = 32` passes (32k work) run tiled at
+/// 2.2–2.6× scalar.
 pub const FACTORIZED_MIN_WORK: usize = 16_384;
 
 /// Which distance kernel evaluates batched routines.
@@ -80,40 +83,41 @@ pub enum Kernel {
     /// Per-pair difference-and-square, sequential summation over
     /// dimensions: bit-identical to [`crate::Point::dist`].
     Scalar,
-    /// Norm-factorized form over 8-wide unrolled dot products; fast,
-    /// with last-ulp deviations from the scalar path.
+    /// Norm-factorized register-tiled mini-GEMM over packed center panels
+    /// (see [`tile`]); the fastest sweeps, with last-ulp deviations from
+    /// the scalar path.
     #[default]
-    Blocked,
-    /// Register-tiled mini-GEMM over packed center panels (see [`tile`]);
-    /// the fastest multi-center sweeps, and the only kernel that reads
-    /// the store's opt-in f32 mirror. Same tolerance contract as
-    /// `Blocked`.
     Tiled,
 }
 
 impl Kernel {
     /// Every kernel, in definition order — for CLI/test matrices.
-    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Blocked, Kernel::Tiled];
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Tiled];
 
     /// Short name for reports and config keys.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Blocked => "blocked",
             Kernel::Tiled => "tiled",
         }
     }
 
     /// Parses a [`Kernel::name`] back to the kernel (`None` for anything
     /// else) — the single source of truth for CLI and API kernel fields.
+    /// `"blocked"`, the name of a retired kernel, is accepted as an alias
+    /// of [`Kernel::Tiled`] so old clients, command lines, and logs keep
+    /// working.
     pub fn parse(s: &str) -> Option<Kernel> {
+        if s == "blocked" {
+            return Some(Kernel::Tiled);
+        }
         Kernel::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// The kernel a sweep of `pair_evals` point-pairs in dimension `dim`
-    /// should actually run: factorized kernels fall back to the scalar
+    /// should actually run: the tiled kernel falls back to the scalar
     /// loop below [`FACTORIZED_MIN_DIM`] / [`FACTORIZED_MIN_WORK`], where
-    /// BENCH_kernel.json shows them *losing* to it.
+    /// BENCH_kernel.json shows it *losing* to it.
     ///
     /// The decision is a pure function of the sweep size and dimension —
     /// never of thread count or chunk boundaries — and the batched entry
@@ -164,7 +168,7 @@ fn thread_shard() -> usize {
 ///
 /// The kernels' callers bump it by the number of point-pairs evaluated;
 /// `ukc-core` threads one through every solve so [`Kernel::Scalar`] and
-/// [`Kernel::Blocked`] report identical `distance_evals`. Internally the
+/// [`Kernel::Tiled`] report identical `distance_evals`. Internally the
 /// count is spread over cache-line-padded cells indexed by a per-thread
 /// shard, so the parallel sweeps (and per-pair counting from many pool
 /// lanes at once) never contend on one cache line; [`DistCounter::count`]
@@ -223,55 +227,6 @@ pub fn dist_sq_scalar(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
-/// One 8-lane block: products summed by the fixed reduction tree.
-#[inline(always)]
-fn dot8(xs: &[f64; 8], ys: &[f64; 8]) -> f64 {
-    ((xs[0] * ys[0] + xs[4] * ys[4]) + (xs[1] * ys[1] + xs[5] * ys[5]))
-        + ((xs[2] * ys[2] + xs[6] * ys[6]) + (xs[3] * ys[3] + xs[7] * ys[7]))
-}
-
-/// Dot product with eight independent accumulators (8-wide unroll).
-///
-/// The independent partial sums break the sequential-add dependency
-/// chain, which is what lets the compiler vectorize and the CPU overlap
-/// the multiply-adds.
-#[inline]
-pub fn dot_blocked(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    // The d == 8 case (one exact block) is the kernel-comparison sweet
-    // spot; dispatching to the fixed-size form skips all iterator and
-    // remainder machinery. The summation tree is identical to the general
-    // path's, so both produce the same value for the same input.
-    if let (Ok(xs), Ok(ys)) = (<&[f64; 8]>::try_from(a), <&[f64; 8]>::try_from(b)) {
-        return dot8(xs, ys);
-    }
-    let n = a.len().min(b.len());
-    let mut ca = a[..n].chunks_exact(8);
-    let mut cb = b[..n].chunks_exact(8);
-    let mut acc = [0.0f64; 8];
-    for (xs, ys) in (&mut ca).zip(&mut cb) {
-        // Fixed-size views let the compiler drop every bounds check and
-        // keep the 8 lanes in vector registers.
-        let xs: &[f64; 8] = xs.try_into().expect("chunks_exact(8)");
-        let ys: &[f64; 8] = ys.try_into().expect("chunks_exact(8)");
-        for lane in 0..8 {
-            acc[lane] += xs[lane] * ys[lane];
-        }
-    }
-    let mut tail = 0.0;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    (((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))) + tail
-}
-
-/// Squared distance via `‖a‖² + ‖b‖² − 2a·b` with precomputed norms,
-/// clamped at zero (cancellation can produce a tiny negative).
-#[inline]
-pub fn dist_sq_blocked(a: &[f64], a_norm_sq: f64, b: &[f64], b_norm_sq: f64) -> f64 {
-    ((a_norm_sq + b_norm_sq) - 2.0 * dot_blocked(a, b)).max(0.0)
-}
-
 /// Register-tiled mini-GEMM primitives behind [`Kernel::Tiled`].
 ///
 /// The multi-center sweeps are structured like a BLAS micro-kernel:
@@ -298,12 +253,6 @@ pub fn dist_sq_blocked(a: &[f64], a_norm_sq: f64, b: &[f64], b_norm_sq: f64) -> 
 /// independent of block membership, panel shape, chunking, and thread
 /// count. SIMD parallelism lives across the *center* axis (independent
 /// accumulators), never inside a single pair's reduction.
-///
-/// **f32 storage.** The primitives are generic over
-/// [`Coord`](tile::Coord): elements
-/// are widened to f64 *before* any arithmetic, so enabling the store's
-/// f32 mirror halves memory traffic but keeps f64 accumulation — the
-/// only precision loss is the one-time coordinate rounding at ingest.
 pub mod tile {
     /// Point rows processed together per block (interleaved for
     /// instruction-level parallelism).
@@ -313,38 +262,14 @@ pub mod tile {
     /// `[f64; TILE_CENTERS]` accumulator arrays.
     pub const TILE_CENTERS: usize = 4;
 
-    /// A coordinate element the tiled kernel can stream (f64, or the
-    /// store's opt-in f32 mirror); widened to f64 before any arithmetic.
-    pub trait Coord: Copy + Send + Sync + 'static {
-        /// The element as f64 (exact — both storage types embed in f64).
-        fn widen(self) -> f64;
-    }
-
-    impl Coord for f64 {
-        #[inline(always)]
-        fn widen(self) -> f64 {
-            self
-        }
-    }
-
-    impl Coord for f32 {
-        #[inline(always)]
-        fn widen(self) -> f64 {
-            f64::from(self)
-        }
-    }
-
     /// The canonical tiled dot product: one f64 accumulator, ascending
     /// dimension. Every tiled code path reproduces exactly this operation
     /// sequence per pair (see the module docs), which is what makes tiled
     /// values blocking-independent and self-cancelling for duplicates.
     #[inline]
-    pub fn dot_seq<A: Coord, B: Coord>(a: &[A], b: &[B]) -> f64 {
+    pub fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-        a.iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x.widen() * y.widen())
-            .sum()
+        a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
     }
 
     /// Dots of four point rows against one query row, interleaved for
@@ -353,10 +278,7 @@ pub mod tile {
     /// # Panics
     /// Panics when any row is shorter than `q`.
     #[inline]
-    pub fn dots_x4_one<T: Coord, Q: Coord>(
-        rows: [&[T]; TILE_POINTS],
-        q: &[Q],
-    ) -> [f64; TILE_POINTS] {
+    pub fn dots_x4_one(rows: [&[f64]; TILE_POINTS], q: &[f64]) -> [f64; TILE_POINTS] {
         let d = q.len();
         let [r0, r1, r2, r3] = rows;
         assert!(
@@ -365,11 +287,10 @@ pub mod tile {
         );
         let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         for (t, &qt) in q.iter().enumerate() {
-            let qt = qt.widen();
-            a0 += r0[t].widen() * qt;
-            a1 += r1[t].widen() * qt;
-            a2 += r2[t].widen() * qt;
-            a3 += r3[t].widen() * qt;
+            a0 += r0[t] * qt;
+            a1 += r1[t] * qt;
+            a2 += r2[t] * qt;
+            a3 += r3[t] * qt;
         }
         [a0, a1, a2, a3]
     }
@@ -389,7 +310,7 @@ pub mod tile {
 
     impl CenterPanels {
         /// Packs `len` centers of dimension `dim`; `coord(c, t)` and
-        /// `norm_sq(c)` supply the (already widened) values.
+        /// `norm_sq(c)` supply the values.
         pub fn pack(
             len: usize,
             dim: usize,
@@ -460,8 +381,8 @@ pub mod tile {
     /// # Panics
     /// Panics when any row is shorter than the panel's dimension.
     #[inline]
-    pub fn dots_x4_panel<T: Coord>(
-        rows: [&[T]; TILE_POINTS],
+    pub fn dots_x4_panel(
+        rows: [&[f64]; TILE_POINTS],
         panel: &[f64],
     ) -> [[f64; TILE_CENTERS]; TILE_POINTS] {
         let d = panel.len() / TILE_CENTERS;
@@ -475,7 +396,7 @@ pub mod tile {
             let cv: &[f64; TILE_CENTERS] = panel[t * TILE_CENTERS..(t + 1) * TILE_CENTERS]
                 .try_into()
                 .expect("panel stride");
-            let xs = [r0[t].widen(), r1[t].widen(), r2[t].widen(), r3[t].widen()];
+            let xs = [r0[t], r1[t], r2[t], r3[t]];
             for p in 0..TILE_POINTS {
                 for c in 0..TILE_CENTERS {
                     acc[p][c] += xs[p] * cv[c];
@@ -491,12 +412,11 @@ pub mod tile {
     /// # Panics
     /// Panics when `row` is shorter than the panel's dimension.
     #[inline]
-    pub fn dot_panel<T: Coord>(row: &[T], panel: &[f64]) -> [f64; TILE_CENTERS] {
+    pub fn dot_panel(row: &[f64], panel: &[f64]) -> [f64; TILE_CENTERS] {
         let d = panel.len() / TILE_CENTERS;
         assert!(row.len() >= d, "row shorter than panel dimension");
         let mut acc = [0.0f64; TILE_CENTERS];
         for (&x, cv) in row.iter().zip(panel.chunks_exact(TILE_CENTERS)) {
-            let x = x.widen();
             for c in 0..TILE_CENTERS {
                 acc[c] += x * cv[c];
             }
@@ -505,90 +425,602 @@ pub mod tile {
     }
 }
 
-/// A typed view of the storage the tiled kernel streams: the f32 mirror
-/// when the store carries one, else the f64 coordinates — in both cases
-/// paired with squared norms accumulated in [`tile::dot_seq`] order.
-struct TiledView<'a, T> {
-    coords: &'a [T],
-    norms_sq: &'a [f64],
-    dim: usize,
+/// The factorized squared distance `(‖a‖² + ‖c‖² − 2a·c)⁺` from the two
+/// norms and the dot, clamped at zero (cancellation can produce a tiny
+/// negative).
+#[inline(always)]
+fn factorized_dist_sq(a_norm_sq: f64, c_norm_sq: f64, dot: f64) -> f64 {
+    ((a_norm_sq + c_norm_sq) - 2.0 * dot).max(0.0)
 }
 
-impl<'a, T: tile::Coord> TiledView<'a, T> {
-    #[inline]
-    fn row(&self, id: PointId) -> &'a [T] {
-        &self.coords[id.0 * self.dim..(id.0 + 1) * self.dim]
-    }
-
-    #[inline]
-    fn norm_sq(&self, id: PointId) -> f64 {
-        self.norms_sq[id.0]
-    }
-}
-
-fn tiled_view_f64(store: &PointStore) -> TiledView<'_, f64> {
-    TiledView {
-        coords: store.raw_coords(),
-        norms_sq: store.raw_norms_sq_seq(),
-        dim: store.dim(),
-    }
-}
-
-fn tiled_view_f32(store: &PointStore) -> Option<TiledView<'_, f32>> {
-    store.f32_view().map(|(coords, norms_sq)| TiledView {
-        coords,
-        norms_sq,
-        dim: store.dim(),
-    })
-}
-
-/// Packs `centers` into [`tile::CenterPanels`], widening coordinates and
-/// reading the view's (order-matched) norms.
-fn pack_panels<T: tile::Coord>(v: &TiledView<'_, T>, centers: &[PointId]) -> tile::CenterPanels {
+/// Packs `centers` into [`tile::CenterPanels`] with their cached norms.
+fn pack_panels(store: &PointStore, centers: &[PointId]) -> tile::CenterPanels {
     tile::CenterPanels::pack(
         centers.len(),
-        v.dim,
-        |c, t| v.row(centers[c])[t].widen(),
-        |c| v.norm_sq(centers[c]),
+        store.dim(),
+        |c, t| store.coords(centers[c])[t],
+        |c| store.norm_sq(centers[c]),
     )
+}
+
+/// Squared distance from stored point `id` to `coords` under `kernel`'s
+/// single-pair arithmetic, where `coords` need not be a store row (a
+/// grid vertex, a moving ball center). `coords_norm_sq` must be
+/// [`tile::dot_seq`]`(coords, coords)`; only the tiled kernel reads it.
+/// Coordinates equal to a stored row therefore get exactly `0.0`, as a
+/// duplicate row would. Sweep dispatch ([`Kernel::dispatch`]) does not
+/// apply — callers asked for this kernel's arithmetic.
+#[inline]
+pub fn dist_sq_to_coords(
+    store: &PointStore,
+    id: PointId,
+    coords: &[f64],
+    coords_norm_sq: f64,
+    kernel: Kernel,
+) -> f64 {
+    let row = store.coords(id);
+    match kernel {
+        Kernel::Scalar => dist_sq_scalar(row, coords),
+        Kernel::Tiled => factorized_dist_sq(
+            store.norm_sq(id),
+            coords_norm_sq,
+            tile::dot_seq(row, coords),
+        ),
+    }
 }
 
 /// Distance between two stored points under `kernel`'s arithmetic — the
 /// single-pair form behind [`crate::Metric::dist`] on a
-/// [`crate::StoreOracle`]. The tiled kernel reads the f32 mirror when the
-/// store carries one. Sweep dispatch ([`Kernel::dispatch`]) does not
+/// [`crate::StoreOracle`]. Sweep dispatch ([`Kernel::dispatch`]) does not
 /// apply to single pairs — callers asked for this kernel's arithmetic.
 pub fn pair_dist(store: &PointStore, a: PointId, b: PointId, kernel: Kernel) -> f64 {
+    dist_sq_to_coords(store, a, store.coords(b), store.norm_sq(b), kernel).sqrt()
+}
+
+// ---------------------------------------------------------------------------
+// Center weights: the plain sweeps and their additively weighted
+// (Apollonius) siblings share one body per shape.
+//
+// A weighted sweep subtracts a per-center weight from each Euclidean
+// distance, `d(p, cᵢ) − wᵢ`, which turns nearest-center cells from a
+// Voronoi into an Apollonius diagram. The tiled kernel stays in squared
+// space through the *threshold* comparison
+//
+//   d − w < m   ⟺   d < m + w   ⟺   d² < (m + w)²  when  m + w > 0,
+//
+// and a (non-negative) distance can never undercut a non-positive
+// threshold, so the guard `t > 0.0 && d² < t·t` is exact. Argmins screen
+// conservatively (`<=`) and decide with the exact strict `<` on the
+// weighted distance itself: `(d − w) + w` can round above `d`, so a
+// purely squared test could re-take an exactly tied center and break
+// lowest-index tie-breaking. At `w = 0` every weighted decision and write
+// reproduces the plain one bit for bit, which
+// `tests/weighted_equivalence.rs` pins for both kernels.
+// ---------------------------------------------------------------------------
+
+/// One center's additive weight, as a sweep's type parameter:
+/// [`NoWeights`] for the plain sweeps, `f64` for the weighted ones. The
+/// methods are the per-pair decisions of the sweep bodies.
+trait Weight: Copy + Send + Sync {
+    /// The weighted distance `d − w` (the scalar kernel's form).
+    fn weigh(self, d: f64) -> f64;
+    /// The tiled running-minimum state of a row whose current minimum
+    /// is `d`.
+    fn min_seed(d: f64) -> f64;
+    /// Folds the squared distance to this center into a running-minimum
+    /// state.
+    fn min_step(self, d_sq: f64, s: &mut f64);
+    /// Writes a running-minimum state back as the row's minimum.
+    fn min_store(s: f64, d: &mut f64);
+    /// The tiled argmin key of the first candidate, at squared distance
+    /// `d_sq`.
+    fn arg_first(self, d_sq: f64) -> f64;
+    /// Takes a candidate at squared distance `d_sq` into `best` (an
+    /// argmin key) when it strictly wins; returns whether it did.
+    fn arg_step(self, d_sq: f64, best: &mut f64) -> bool;
+    /// The distance an argmin key stands for.
+    fn arg_dist(key: f64) -> f64;
+
+    /// `d = min(d, √d_sq − w)` in the tiled kernel's form.
+    #[inline]
+    fn tighten(self, d_sq: f64, d: &mut f64) {
+        let mut s = Self::min_seed(*d);
+        self.min_step(d_sq, &mut s);
+        Self::min_store(s, d);
+    }
+}
+
+/// The zero-sized "no weights" type of the plain sweeps: running minima
+/// and argmin keys stay in squared space behind a strict `<`, with one
+/// `sqrt` per improvement (running minima) or at the end (argmins).
+#[derive(Clone, Copy, Debug)]
+struct NoWeights;
+
+impl Weight for NoWeights {
+    #[inline(always)]
+    fn weigh(self, d: f64) -> f64 {
+        d
+    }
+
+    #[inline(always)]
+    fn min_seed(_: f64) -> f64 {
+        f64::INFINITY
+    }
+
+    #[inline(always)]
+    fn min_step(self, d_sq: f64, s: &mut f64) {
+        if d_sq < *s {
+            *s = d_sq;
+        }
+    }
+
+    #[inline(always)]
+    fn min_store(s: f64, d: &mut f64) {
+        if s < *d * *d {
+            *d = s.sqrt();
+        }
+    }
+
+    #[inline(always)]
+    fn arg_first(self, d_sq: f64) -> f64 {
+        d_sq
+    }
+
+    #[inline(always)]
+    fn arg_step(self, d_sq: f64, best: &mut f64) -> bool {
+        let wins = d_sq < *best;
+        if wins {
+            *best = d_sq;
+        }
+        wins
+    }
+
+    #[inline(always)]
+    fn arg_dist(key: f64) -> f64 {
+        key.sqrt()
+    }
+
+    #[inline(always)]
+    fn tighten(self, d_sq: f64, d: &mut f64) {
+        if d_sq < *d * *d {
+            *d = d_sq.sqrt();
+        }
+    }
+}
+
+/// An additive weight: running-minimum states and argmin keys are
+/// weighted distances, compared through the threshold test above.
+impl Weight for f64 {
+    #[inline(always)]
+    fn weigh(self, d: f64) -> f64 {
+        d - self
+    }
+
+    #[inline(always)]
+    fn min_seed(d: f64) -> f64 {
+        d
+    }
+
+    #[inline(always)]
+    fn min_step(self, d_sq: f64, s: &mut f64) {
+        let t = *s + self;
+        if t > 0.0 && d_sq < t * t {
+            *s = d_sq.sqrt() - self;
+        }
+    }
+
+    #[inline(always)]
+    fn min_store(s: f64, d: &mut f64) {
+        *d = s;
+    }
+
+    #[inline(always)]
+    fn arg_first(self, d_sq: f64) -> f64 {
+        d_sq.sqrt() - self
+    }
+
+    #[inline(always)]
+    fn arg_step(self, d_sq: f64, best: &mut f64) -> bool {
+        // Conservative squared-space screen, exact linear decision.
+        let t = *best + self;
+        if t > 0.0 && d_sq <= t * t {
+            let nd = d_sq.sqrt() - self;
+            if nd < *best {
+                *best = nd;
+                return true;
+            }
+        }
+        false
+    }
+
+    #[inline(always)]
+    fn arg_dist(key: f64) -> f64 {
+        key
+    }
+}
+
+/// The weights of a center set: [`NoWeights`], or one `f64` per center.
+trait Weights: Copy + Send + Sync {
+    /// One center's weight.
+    type One: Weight;
+    /// The weight of center `c`.
+    fn at(self, c: usize) -> Self::One;
+    /// The weights of centers `r`.
+    fn slice(self, r: Range<usize>) -> Self;
+    /// Asserts one weight per center.
+    fn check(self, centers: usize);
+    /// The weights laid out over `slots` panel slots. Pad slots get
+    /// weight `0.0`, which is harmless: their `+∞` norms make every
+    /// padded squared distance `+∞`, which never passes a test.
+    fn padded(self, slots: usize) -> Vec<Self::One>;
+}
+
+impl Weights for NoWeights {
+    type One = NoWeights;
+
+    #[inline(always)]
+    fn at(self, _: usize) -> NoWeights {
+        NoWeights
+    }
+
+    fn slice(self, _: Range<usize>) -> Self {
+        self
+    }
+
+    fn check(self, _: usize) {}
+
+    fn padded(self, slots: usize) -> Vec<NoWeights> {
+        vec![NoWeights; slots]
+    }
+}
+
+impl Weights for &[f64] {
+    type One = f64;
+
+    #[inline(always)]
+    fn at(self, c: usize) -> f64 {
+        self[c]
+    }
+
+    fn slice(self, r: Range<usize>) -> Self {
+        &self[r]
+    }
+
+    fn check(self, centers: usize) {
+        assert_eq!(centers, self.len(), "one weight per center required");
+    }
+
+    fn padded(self, slots: usize) -> Vec<f64> {
+        let mut padded = vec![0.0; slots];
+        padded[..self.len()].copy_from_slice(self);
+        padded
+    }
+}
+
+/// Calls `visit(i, d²)` for each `rows[i]`, in order, with its squared
+/// distance to `q` under `kernel` (already dispatched): the scalar loop,
+/// or the tiled form over [`tile::TILE_POINTS`]-row blocks.
+#[inline]
+fn sweep_one(
+    store: &PointStore,
+    rows: &[PointId],
+    q: PointId,
+    kernel: Kernel,
+    mut visit: impl FnMut(usize, f64),
+) {
+    let qc = store.coords(q);
     match kernel {
-        Kernel::Scalar => dist_sq_scalar(store.coords(a), store.coords(b)).sqrt(),
-        Kernel::Blocked => dist_sq_blocked(
-            store.coords(a),
-            store.norm_sq(a),
-            store.coords(b),
-            store.norm_sq(b),
-        )
-        .sqrt(),
+        Kernel::Scalar => {
+            for (i, &r) in rows.iter().enumerate() {
+                visit(i, dist_sq_scalar(store.coords(r), qc));
+            }
+        }
         Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                pair_dist_tiled(&v, a, b)
-            } else {
-                pair_dist_tiled(&tiled_view_f64(store), a, b)
+            let qn = store.norm_sq(q);
+            let mut blocks = rows.chunks_exact(tile::TILE_POINTS);
+            let mut i = 0;
+            for blk in &mut blocks {
+                let dots = tile::dots_x4_one(std::array::from_fn(|p| store.coords(blk[p])), qc);
+                for p in 0..tile::TILE_POINTS {
+                    visit(
+                        i + p,
+                        factorized_dist_sq(store.norm_sq(blk[p]), qn, dots[p]),
+                    );
+                }
+                i += tile::TILE_POINTS;
+            }
+            for &r in blocks.remainder() {
+                visit(
+                    i,
+                    factorized_dist_sq(store.norm_sq(r), qn, tile::dot_seq(store.coords(r), qc)),
+                );
+                i += 1;
             }
         }
     }
 }
 
+/// Streams each row of `points` past every panel exactly once,
+/// [`tile::TILE_POINTS`] rows per block. Row `i`'s state starts as
+/// `seed(&out[i])` and takes `step(state, weight, d²)` for every center
+/// slot in ascending order (padded slots included: their `d²` is `+∞`);
+/// `step` returns whether the slot was taken. The row ends as
+/// `finish(state, last taken slot, &mut out[i])`.
+///
+/// # Panics
+/// Panics when `out` and `points` differ in length.
 #[inline]
-fn pair_dist_tiled<T: tile::Coord>(v: &TiledView<'_, T>, a: PointId, b: PointId) -> f64 {
-    ((v.norm_sq(a) + v.norm_sq(b)) - 2.0 * tile::dot_seq(v.row(a), v.row(b)))
-        .max(0.0)
-        .sqrt()
+fn sweep_panels<T, W: Copy>(
+    store: &PointStore,
+    points: &[PointId],
+    (panels, wpad): (&tile::CenterPanels, &[W]),
+    out: &mut [T],
+    seed: impl Fn(&T) -> f64,
+    step: impl Fn(&mut f64, W, f64) -> bool,
+    finish: impl Fn(f64, usize, &mut T),
+) {
+    assert_eq!(out.len(), points.len(), "one output per point");
+    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
+    let mut outs = out.chunks_exact_mut(tile::TILE_POINTS);
+    for (blk, o) in (&mut blocks).zip(&mut outs) {
+        let rows = std::array::from_fn(|p| store.coords(blk[p]));
+        let norms: [f64; tile::TILE_POINTS] = std::array::from_fn(|p| store.norm_sq(blk[p]));
+        let mut s: [f64; tile::TILE_POINTS] = std::array::from_fn(|p| seed(&o[p]));
+        let mut slot = [0usize; tile::TILE_POINTS];
+        for g in 0..panels.n_panels() {
+            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
+            let cn = panels.panel_norms_sq(g);
+            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
+            for p in 0..tile::TILE_POINTS {
+                for c in 0..tile::TILE_CENTERS {
+                    let d_sq = factorized_dist_sq(norms[p], cn[c], dots[p][c]);
+                    if step(&mut s[p], cw[c], d_sq) {
+                        slot[p] = g * tile::TILE_CENTERS + c;
+                    }
+                }
+            }
+        }
+        for p in 0..tile::TILE_POINTS {
+            finish(s[p], slot[p], &mut o[p]);
+        }
+    }
+    for (&id, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
+        let (row, n) = (store.coords(id), store.norm_sq(id));
+        let (mut s, mut slot) = (seed(o), 0);
+        for g in 0..panels.n_panels() {
+            let dots = tile::dot_panel(row, panels.panel_coords(g));
+            let cn = panels.panel_norms_sq(g);
+            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
+            for c in 0..tile::TILE_CENTERS {
+                if step(&mut s, cw[c], factorized_dist_sq(n, cn[c], dots[c])) {
+                    slot = g * tile::TILE_CENTERS + c;
+                }
+            }
+        }
+        finish(s, slot, o);
+    }
+}
+
+/// Runs the elementwise `sweep(rows, out)` over `points` and
+/// `out[..points.len()]`: in [`PAR_CHUNK`]-row blocks on the pool when
+/// `exec` is parallel and the sweep has at least [`PAR_MIN_POINTS`] rows,
+/// else in one call. Each `out[i]` depends only on row `i`, so the result
+/// is bit-identical for every [`Exec`].
+fn for_each_chunk<T: Send>(
+    exec: Exec<'_>,
+    points: &[PointId],
+    out: &mut [T],
+    sweep: impl Fn(&[PointId], &mut [T]) + Sync,
+) {
+    let out = &mut out[..points.len()];
+    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
+        return sweep(points, out);
+    }
+    ukc_pool::for_each_slice(exec, out, PAR_CHUNK, |start, slice| {
+        sweep(&points[start..start + slice.len()], slice);
+    });
+}
+
+/// The running-minimum sweep against one center, dispatched once on the
+/// full sweep and chunked by [`for_each_chunk`].
+fn set_min<W: Weight>(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    w: W,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    min_dist: &mut [f64],
+) {
+    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
+    let kernel = kernel.dispatch(points.len(), store.dim());
+    for_each_chunk(exec, points, min_dist, |pts, out| match kernel {
+        Kernel::Scalar => sweep_one(store, pts, center, kernel, |i, d_sq| {
+            let nd = w.weigh(d_sq.sqrt());
+            if nd < out[i] {
+                out[i] = nd;
+            }
+        }),
+        // Compare in squared space and take the square root only on an
+        // actual improvement: in a min-update sweep most pairs do not
+        // tighten the minimum, so most `sqrt`s are skipped.
+        Kernel::Tiled => sweep_one(store, pts, center, kernel, |i, d_sq| {
+            w.tighten(d_sq, &mut out[i]);
+        }),
+    });
+}
+
+/// [`nearest_center`] / [`nearest_center_weighted`] after dispatch.
+fn nearest_resolved<W: Weights>(
+    store: &PointStore,
+    centers: &[PointId],
+    w: W,
+    q: PointId,
+    kernel: Kernel,
+) -> Option<(usize, f64)> {
+    w.check(centers.len());
+    let mut best: Option<(usize, f64)> = None;
+    match kernel {
+        Kernel::Scalar => sweep_one(store, centers, q, kernel, |i, d_sq| {
+            let d = w.at(i).weigh(d_sq.sqrt());
+            if best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((i, d));
+            }
+        }),
+        Kernel::Tiled => {
+            sweep_one(store, centers, q, kernel, |i, d_sq| {
+                let w = w.at(i);
+                best = match best {
+                    None => Some((i, w.arg_first(d_sq))),
+                    Some((bi, mut key)) => {
+                        Some((if w.arg_step(d_sq, &mut key) { i } else { bi }, key))
+                    }
+                };
+            });
+            return best.map(|(i, key)| (i, W::One::arg_dist(key)));
+        }
+    }
+    best
+}
+
+/// The argmin over a center set, chunked by size: per-chunk winners fold
+/// **in chunk-index order** with a strict `<`, preserving first-wins
+/// tie-breaking. Chunking engages purely by size, never by [`Exec`], so
+/// `threads = 1` and `threads = N` agree bit for bit.
+fn nearest<W: Weights>(
+    store: &PointStore,
+    centers: &[PointId],
+    w: W,
+    q: PointId,
+    kernel: Kernel,
+    exec: Exec<'_>,
+) -> Option<(usize, f64)> {
+    w.check(centers.len());
+    let kernel = kernel.dispatch(centers.len(), store.dim());
+    if centers.len() < PAR_MIN_POINTS {
+        return nearest_resolved(store, centers, w, q, kernel);
+    }
+    let partials = ukc_pool::map_chunks(exec, centers.len(), PAR_CHUNK, |r| {
+        nearest_resolved(store, &centers[r.clone()], w.slice(r.clone()), q, kernel)
+            .map(|(i, d)| (i + r.start, d))
+    });
+    let mut best: Option<(usize, f64)> = None;
+    for p in partials.into_iter().flatten() {
+        if best.is_none_or(|(_, bd)| p.1 < bd) {
+            best = Some(p);
+        }
+    }
+    best
+}
+
+/// The running-minimum sweep against a center set. Tiled: centers are
+/// packed into panels once and every point row streams past them in one
+/// pass, chunked over the points. Scalar: one [`set_min`] pass per
+/// center.
+fn centers_min<W: Weights>(
+    store: &PointStore,
+    points: &[PointId],
+    centers: &[PointId],
+    w: W,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    min_dist: &mut [f64],
+) {
+    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
+    w.check(centers.len());
+    // Dispatch on the sweep's total work (n·k pair evaluations). When it
+    // demotes to scalar, each per-center pass (n·d ≤ n·k·d work) does too.
+    let work = points.len().saturating_mul(centers.len());
+    match kernel.dispatch(work, store.dim()) {
+        Kernel::Tiled => {
+            let panels = pack_panels(store, centers);
+            let wpad = w.padded(panels.n_panels() * tile::TILE_CENTERS);
+            for_each_chunk(exec, points, min_dist, |pts, out| {
+                let seed = |d: &f64| W::One::min_seed(*d);
+                let step = |s: &mut f64, w: W::One, d_sq| {
+                    w.min_step(d_sq, s);
+                    false
+                };
+                let finish = |s, _, d: &mut f64| W::One::min_store(s, d);
+                sweep_panels(store, pts, (&panels, &wpad), out, seed, step, finish);
+            });
+        }
+        Kernel::Scalar => {
+            for (c, &center) in centers.iter().enumerate() {
+                set_min(
+                    store,
+                    points,
+                    center,
+                    w.at(c),
+                    Kernel::Scalar,
+                    exec,
+                    min_dist,
+                );
+            }
+        }
+    }
+}
+
+/// The per-point argmin over a center set. Tiled: packed panels, one
+/// streaming pass, chunked over the points. Scalar: one [`nearest`] per
+/// query.
+fn nearest_each<W: Weights>(
+    store: &PointStore,
+    points: &[PointId],
+    centers: &[PointId],
+    w: W,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    out: &mut [(usize, f64)],
+) {
+    assert!(out.len() >= points.len(), "output buffer too small");
+    w.check(centers.len());
+    if points.is_empty() {
+        // Trivially done, even with no centers (the trait contract).
+        return;
+    }
+    assert!(
+        !centers.is_empty(),
+        "nearest_center_each requires at least one center"
+    );
+    let work = points.len().saturating_mul(centers.len());
+    match kernel.dispatch(work, store.dim()) {
+        Kernel::Tiled => {
+            let panels = pack_panels(store, centers);
+            let wpad = w.padded(panels.n_panels() * tile::TILE_CENTERS);
+            for_each_chunk(exec, points, out, |pts, out| {
+                nearest_each_panels(store, pts, &panels, &wpad, out);
+            });
+        }
+        Kernel::Scalar => for_each_chunk(exec, points, out, |pts, out| {
+            for (q, o) in pts.iter().zip(out) {
+                *o = nearest(store, centers, w, *q, Kernel::Scalar, Exec::sequential())
+                    .expect("non-empty centers");
+            }
+        }),
+    }
+}
+
+/// The tiled body of [`nearest_each`] over packed panels: ascending slot
+/// order, so ties go to the lowest index (padded slots never win).
+fn nearest_each_panels<W: Weight>(
+    store: &PointStore,
+    points: &[PointId],
+    panels: &tile::CenterPanels,
+    wpad: &[W],
+    out: &mut [(usize, f64)],
+) {
+    debug_assert!(!panels.is_empty());
+    let seed = |_: &(usize, f64)| f64::INFINITY;
+    let step = |key: &mut f64, w: W, d_sq| w.arg_step(d_sq, key);
+    let finish = |key, slot, o: &mut (usize, f64)| *o = (slot, W::arg_dist(key));
+    sweep_panels(store, points, (panels, wpad), out, seed, step, finish);
 }
 
 /// Fills `out[i] = d(points[i], q)`.
 ///
 /// Re-dispatches through [`Kernel::dispatch`] on the sweep size, so tiny
-/// sweeps run the scalar loop even under a factorized kernel.
+/// sweeps run the scalar loop even under the tiled kernel.
 ///
 /// # Panics
 /// Panics when `out` is shorter than `points`.
@@ -599,249 +1031,7 @@ pub fn dists_to_one(
     kernel: Kernel,
     out: &mut [f64],
 ) {
-    assert!(out.len() >= points.len(), "output buffer too small");
-    dists_to_one_resolved(
-        store,
-        points,
-        q,
-        kernel.dispatch(points.len(), store.dim()),
-        out,
-    );
-}
-
-/// [`dists_to_one`] after dispatch: `kernel` is run as-is. The parallel
-/// entry resolves once on the full sweep and calls this per chunk, so
-/// chunk sizes can never flip the dispatch decision.
-fn dists_to_one_resolved(
-    store: &PointStore,
-    points: &[PointId],
-    q: PointId,
-    kernel: Kernel,
-    out: &mut [f64],
-) {
-    match kernel {
-        Kernel::Scalar => {
-            let qc = store.coords(q);
-            for (p, o) in points.iter().zip(out.iter_mut()) {
-                *o = dist_sq_scalar(store.coords(*p), qc).sqrt();
-            }
-        }
-        Kernel::Blocked => {
-            let qc = store.coords(q);
-            let qn = store.norm_sq(q);
-            for (p, o) in points.iter().zip(out.iter_mut()) {
-                *o = dist_sq_blocked(store.coords(*p), store.norm_sq(*p), qc, qn).sqrt();
-            }
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                dists_to_one_tiled(&v, points, q, out);
-            } else {
-                dists_to_one_tiled(&tiled_view_f64(store), points, q, out);
-            }
-        }
-    }
-}
-
-fn dists_to_one_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    q: PointId,
-    out: &mut [f64],
-) {
-    let qr = v.row(q);
-    let qn = v.norm_sq(q);
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let dots = tile::dots_x4_one(rows, qr);
-        for p in 0..tile::TILE_POINTS {
-            out[i + p] = ((v.norm_sq(blk[p]) + qn) - 2.0 * dots[p]).max(0.0).sqrt();
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let dot = tile::dot_seq(v.row(id), qr);
-        out[i] = ((v.norm_sq(id) + qn) - 2.0 * dot).max(0.0).sqrt();
-        i += 1;
-    }
-}
-
-/// Tightens a running minimum-distance array against a new center:
-/// `min_dist[i] = min(min_dist[i], d(points[i], center))` — the exact
-/// inner loop of Gonzalez's farthest-point sweep.
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn dists_to_set_min(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    dists_to_set_min_resolved(
-        store,
-        points,
-        center,
-        kernel.dispatch(points.len(), store.dim()),
-        min_dist,
-    );
-}
-
-/// [`dists_to_set_min`] after dispatch (see [`dists_to_one_resolved`]).
-fn dists_to_set_min_resolved(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    match kernel {
-        Kernel::Scalar => {
-            let cc = store.coords(center);
-            for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-                let nd = dist_sq_scalar(store.coords(*p), cc).sqrt();
-                if nd < *d {
-                    *d = nd;
-                }
-            }
-        }
-        Kernel::Blocked => {
-            // Compare in squared space and take the square root only on an
-            // actual improvement: in a min-update sweep most pairs do not
-            // tighten the minimum, so most `sqrt`s are skipped. (sqrt is
-            // monotone, so the comparison is equivalent up to rounding —
-            // within the blocked kernel's tolerance contract.)
-            let cc = store.coords(center);
-            let cn = store.norm_sq(center);
-            for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-                let nd_sq = dist_sq_blocked(store.coords(*p), store.norm_sq(*p), cc, cn);
-                if nd_sq < *d * *d {
-                    *d = nd_sq.sqrt();
-                }
-            }
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                dists_to_set_min_tiled(&v, points, center, min_dist);
-            } else {
-                dists_to_set_min_tiled(&tiled_view_f64(store), points, center, min_dist);
-            }
-        }
-    }
-}
-
-fn dists_to_set_min_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    center: PointId,
-    min_dist: &mut [f64],
-) {
-    let cc = v.row(center);
-    let cn = v.norm_sq(center);
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let dots = tile::dots_x4_one(rows, cc);
-        for p in 0..tile::TILE_POINTS {
-            let nd_sq = ((v.norm_sq(blk[p]) + cn) - 2.0 * dots[p]).max(0.0);
-            let d = &mut min_dist[i + p];
-            if nd_sq < *d * *d {
-                *d = nd_sq.sqrt();
-            }
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let nd_sq = ((v.norm_sq(id) + cn) - 2.0 * tile::dot_seq(v.row(id), cc)).max(0.0);
-        let d = &mut min_dist[i];
-        if nd_sq < *d * *d {
-            *d = nd_sq.sqrt();
-        }
-        i += 1;
-    }
-}
-
-/// Index (into `centers`) and distance of the center nearest to `q`,
-/// ties broken toward the lower index; `None` for an empty center set.
-pub fn nearest_center(
-    store: &PointStore,
-    centers: &[PointId],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    nearest_center_resolved(
-        store,
-        centers,
-        q,
-        kernel.dispatch(centers.len(), store.dim()),
-    )
-}
-
-/// [`nearest_center`] after dispatch (see [`dists_to_one_resolved`]).
-fn nearest_center_resolved(
-    store: &PointStore,
-    centers: &[PointId],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    match kernel {
-        Kernel::Scalar => {
-            let qc = store.coords(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d = dist_sq_scalar(store.coords(*c), qc).sqrt();
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            }
-            best
-        }
-        Kernel::Blocked => {
-            // Squared-space argmin, one sqrt at the end.
-            let qc = store.coords(q);
-            let qn = store.norm_sq(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d_sq = dist_sq_blocked(store.coords(*c), store.norm_sq(*c), qc, qn);
-                if best.is_none_or(|(_, bd)| d_sq < bd) {
-                    best = Some((i, d_sq));
-                }
-            }
-            best.map(|(i, d_sq)| (i, d_sq.sqrt()))
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                nearest_center_tiled(&v, centers, q)
-            } else {
-                nearest_center_tiled(&tiled_view_f64(store), centers, q)
-            }
-        }
-    }
-}
-
-/// Squared-space argmin over the centers with the canonical per-pair dot;
-/// bitwise-identical distances (and thus the same argmin) as the fused
-/// [`nearest_center_each`] panel path.
-fn nearest_center_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    centers: &[PointId],
-    q: PointId,
-) -> Option<(usize, f64)> {
-    let qr = v.row(q);
-    let qn = v.norm_sq(q);
-    let mut best: Option<(usize, f64)> = None;
-    for (i, c) in centers.iter().enumerate() {
-        let d_sq = ((v.norm_sq(*c) + qn) - 2.0 * tile::dot_seq(v.row(*c), qr)).max(0.0);
-        if best.is_none_or(|(_, bd)| d_sq < bd) {
-            best = Some((i, d_sq));
-        }
-    }
-    best.map(|(i, d_sq)| (i, d_sq.sqrt()))
+    par_dists_to_one(store, points, q, kernel, Exec::sequential(), out);
 }
 
 /// Parallel [`dists_to_one`]: splits `points` into [`PAR_CHUNK`]-row
@@ -864,12 +1054,33 @@ pub fn par_dists_to_one(
     // re-dispatch, or the (smaller) final chunk could pick a different
     // kernel than the sequential whole-array path.
     let kernel = kernel.dispatch(points.len(), store.dim());
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_one_resolved(store, points, q, kernel, out);
-    }
-    ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, |start, slice| {
-        dists_to_one_resolved(store, &points[start..start + slice.len()], q, kernel, slice);
+    for_each_chunk(exec, points, out, |pts, out| {
+        sweep_one(store, pts, q, kernel, |i, d_sq| out[i] = d_sq.sqrt());
     });
+}
+
+/// Tightens a running minimum-distance array against a new center:
+/// `min_dist[i] = min(min_dist[i], d(points[i], center))` — the exact
+/// inner loop of Gonzalez's farthest-point sweep.
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`.
+pub fn dists_to_set_min(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    kernel: Kernel,
+    min_dist: &mut [f64],
+) {
+    set_min(
+        store,
+        points,
+        center,
+        NoWeights,
+        kernel,
+        Exec::sequential(),
+        min_dist,
+    );
 }
 
 /// Parallel min-update sweep ([`dists_to_set_min`]): block-parallel over
@@ -887,25 +1098,67 @@ pub fn par_dists_to_set_min(
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    let kernel = kernel.dispatch(points.len(), store.dim());
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_set_min_resolved(store, points, center, kernel, min_dist);
-    }
-    ukc_pool::for_each_slice(
-        exec,
-        &mut min_dist[..points.len()],
-        PAR_CHUNK,
-        |start, slice| {
-            dists_to_set_min_resolved(
-                store,
-                &points[start..start + slice.len()],
-                center,
-                kernel,
-                slice,
-            );
-        },
+    set_min(store, points, center, NoWeights, kernel, exec, min_dist);
+}
+
+/// Tightens a running *weighted* minimum against a new center carrying
+/// additive weight `w`:
+/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the
+/// Apollonius form of [`dists_to_set_min`], and the inner loop of the
+/// weighted Gonzalez sweep. `min_dist` holds weighted distances (which
+/// may be negative once a weight exceeds a distance).
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`.
+pub fn dists_to_set_min_weighted(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    w: f64,
+    kernel: Kernel,
+    min_dist: &mut [f64],
+) {
+    set_min(
+        store,
+        points,
+        center,
+        w,
+        kernel,
+        Exec::sequential(),
+        min_dist,
     );
+}
+
+/// Parallel [`dists_to_set_min_weighted`]: block-parallel over
+/// [`PAR_CHUNK`]-row blocks, elementwise like [`par_dists_to_set_min`],
+/// so bit-identical across every [`Exec`].
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`.
+pub fn par_dists_to_set_min_weighted(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    w: f64,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    min_dist: &mut [f64],
+) {
+    set_min(store, points, center, w, kernel, exec, min_dist);
+}
+
+/// Index (into `centers`) and distance of the center nearest to `q`,
+/// ties broken toward the lower index; `None` for an empty center set.
+/// Under the tiled kernel the argmin runs in squared space with one
+/// `sqrt` at the end.
+pub fn nearest_center(
+    store: &PointStore,
+    centers: &[PointId],
+    q: PointId,
+    kernel: Kernel,
+) -> Option<(usize, f64)> {
+    let kernel = kernel.dispatch(centers.len(), store.dim());
+    nearest_resolved(store, centers, NoWeights, q, kernel)
 }
 
 /// Parallel [`nearest_center`] over a large center set: per-chunk argmins
@@ -916,7 +1169,7 @@ pub fn par_dists_to_set_min(
 /// Chunking engages purely by size (`centers.len() >= PAR_MIN_POINTS`),
 /// never by [`Exec`]: a sequential `Exec` folds the *same* chunks in the
 /// same order, so `threads = 1` and `threads = N` agree bit for bit even
-/// in the blocked kernel's rounding corners.
+/// in the tiled kernel's rounding corners.
 pub fn par_nearest_center(
     store: &PointStore,
     centers: &[PointId],
@@ -924,32 +1177,55 @@ pub fn par_nearest_center(
     kernel: Kernel,
     exec: Exec<'_>,
 ) -> Option<(usize, f64)> {
+    nearest(store, centers, NoWeights, q, kernel, exec)
+}
+
+/// Index (into `centers`) and *weighted* distance `d(q, cᵢ) − wᵢ` of the
+/// weighted-nearest center, ties broken toward the lower index; `None`
+/// for an empty center set.
+///
+/// # Panics
+/// Panics when `weights` and `centers` differ in length.
+pub fn nearest_center_weighted(
+    store: &PointStore,
+    centers: &[PointId],
+    weights: &[f64],
+    q: PointId,
+    kernel: Kernel,
+) -> Option<(usize, f64)> {
     let kernel = kernel.dispatch(centers.len(), store.dim());
-    if centers.len() < PAR_MIN_POINTS {
-        return nearest_center_resolved(store, centers, q, kernel);
-    }
-    let partials = ukc_pool::map_chunks(exec, centers.len(), PAR_CHUNK, |r| {
-        nearest_center_resolved(store, &centers[r.clone()], q, kernel)
-            .map(|(i, d)| (i + r.start, d))
-    });
-    let mut best: Option<(usize, f64)> = None;
-    for p in partials.into_iter().flatten() {
-        if best.is_none_or(|(_, bd)| p.1 < bd) {
-            best = Some(p);
-        }
-    }
-    best
+    nearest_resolved(store, centers, weights, q, kernel)
+}
+
+/// Parallel [`nearest_center_weighted`] over a large center set:
+/// per-chunk winners fold **in chunk-index order** with a strict `<` on
+/// the weighted distance, preserving first-wins tie-breaking. Chunking
+/// engages purely by size, never by [`Exec`], so `threads = 1` and
+/// `threads = N` agree bit for bit.
+///
+/// # Panics
+/// Panics when `weights` and `centers` differ in length.
+pub fn par_nearest_center_weighted(
+    store: &PointStore,
+    centers: &[PointId],
+    weights: &[f64],
+    q: PointId,
+    kernel: Kernel,
+    exec: Exec<'_>,
+) -> Option<(usize, f64)> {
+    nearest(store, centers, weights, q, kernel, exec)
 }
 
 /// Tightens a running minimum against a whole center set:
 /// `min_dist[i] = min(min_dist[i], min_c d(points[i], centers[c]))` — the
 /// k-center cost sweep, fused across centers.
 ///
-/// For `Scalar`/`Blocked` this is exactly `centers.len()` passes of
-/// [`dists_to_set_min`] (unchanged arithmetic and results). The tiled
-/// kernel instead packs the centers into [`tile::CenterPanels`] once and
-/// streams each point row past all of them in a single pass — the
-/// compute-bound mini-GEMM this kernel exists for.
+/// For `Scalar` this is exactly `centers.len()` passes of
+/// [`dists_to_set_min`]. The tiled kernel instead packs the centers into
+/// [`tile::CenterPanels`] once and streams each point row past all of
+/// them in a single pass — the compute-bound mini-GEMM this kernel exists
+/// for — taking the minimum in squared space with one `sqrt` per
+/// improved row.
 ///
 /// # Panics
 /// Panics when `min_dist` is shorter than `points`.
@@ -978,123 +1254,69 @@ pub fn par_dists_to_centers_min(
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    // Dispatch on the sweep's total work (n·k pair evaluations). Only the
-    // tiled kernel has a fused path; everything else — including a tiled
-    // request demoted below the cutoff — runs the per-center passes,
-    // which re-dispatch per pass exactly like direct calls.
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                par_centers_min_tiled(&v, points, centers, exec, min_dist);
-            } else {
-                par_centers_min_tiled(&tiled_view_f64(store), points, centers, exec, min_dist);
-            }
-        }
-        _ => {
-            for c in centers {
-                par_dists_to_set_min(store, points, *c, kernel, exec, min_dist);
-            }
-        }
-    }
+    centers_min(store, points, centers, NoWeights, kernel, exec, min_dist);
 }
 
-fn par_centers_min_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
+/// Weighted [`dists_to_centers_min`]:
+/// `min_dist[i] = min(min_dist[i], min_c d(points[i], cᵢ) − wᵢ)`.
+///
+/// Unlike the plain fused sweep, the weighted tiled path applies the
+/// per-center threshold update in ascending center order inside one
+/// streaming pass, so it is **bit-identical** to `centers.len()` passes
+/// of [`dists_to_set_min_weighted`] under the same resolved kernel.
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`, or when `weights`
+/// and `centers` differ in length.
+pub fn dists_to_centers_min_weighted(
+    store: &PointStore,
     points: &[PointId],
     centers: &[PointId],
-    exec: Exec<'_>,
+    weights: &[f64],
+    kernel: Kernel,
     min_dist: &mut [f64],
 ) {
-    let panels = pack_panels(v, centers);
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_centers_min_tiled(v, points, &panels, min_dist);
-    }
-    ukc_pool::for_each_slice(
-        exec,
-        &mut min_dist[..points.len()],
-        PAR_CHUNK,
-        |start, slice| {
-            dists_to_centers_min_tiled(v, &points[start..start + slice.len()], &panels, slice);
-        },
+    centers_min(
+        store,
+        points,
+        centers,
+        weights,
+        kernel,
+        Exec::sequential(),
+        min_dist,
     );
 }
 
-fn dists_to_centers_min_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
+/// Parallel [`dists_to_centers_min_weighted`]: the tiled path packs
+/// panels once and chunks the points; each point's center loop runs
+/// entirely inside one chunk, so results are bit-identical for every
+/// [`Exec`].
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`, or when `weights`
+/// and `centers` differ in length.
+pub fn par_dists_to_centers_min_weighted(
+    store: &PointStore,
     points: &[PointId],
-    panels: &tile::CenterPanels,
+    centers: &[PointId],
+    weights: &[f64],
+    kernel: Kernel,
+    exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    if panels.is_empty() {
-        return;
-    }
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let norms = [
-            v.norm_sq(blk[0]),
-            v.norm_sq(blk[1]),
-            v.norm_sq(blk[2]),
-            v.norm_sq(blk[3]),
-        ];
-        let mut best = [f64::INFINITY; tile::TILE_POINTS];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            for p in 0..tile::TILE_POINTS {
-                for c in 0..tile::TILE_CENTERS {
-                    // Padded columns carry +∞ norms, so their nd_sq is +∞
-                    // and the strict `<` can never select them.
-                    let nd_sq = ((norms[p] + cn[c]) - 2.0 * dots[p][c]).max(0.0);
-                    if nd_sq < best[p] {
-                        best[p] = nd_sq;
-                    }
-                }
-            }
-        }
-        for p in 0..tile::TILE_POINTS {
-            let d = &mut min_dist[i + p];
-            if best[p] < *d * *d {
-                *d = best[p].sqrt();
-            }
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let row = v.row(id);
-        let n = v.norm_sq(id);
-        let mut best = f64::INFINITY;
-        for g in 0..panels.n_panels() {
-            let dots = tile::dot_panel(row, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            for c in 0..tile::TILE_CENTERS {
-                let nd_sq = ((n + cn[c]) - 2.0 * dots[c]).max(0.0);
-                if nd_sq < best {
-                    best = nd_sq;
-                }
-            }
-        }
-        let d = &mut min_dist[i];
-        if best < *d * *d {
-            *d = best.sqrt();
-        }
-        i += 1;
-    }
+    centers_min(store, points, centers, weights, kernel, exec, min_dist);
 }
 
 /// Fills `out[i]` with the index and distance of the center nearest
 /// `points[i]`, ties toward the lower index — the batched assignment
 /// sweep, fused across centers.
 ///
-/// For `Scalar`/`Blocked` this runs one [`nearest_center`] per query (the
-/// arithmetic `nearest_each` always used). The tiled kernel packs the
-/// centers into panels and computes every query's argmin in one streaming
-/// pass — an `n × k` mini-GEMM. Tiled distances here are bit-identical to
-/// the per-query [`nearest_center`] tiled path (same canonical per-pair
-/// order, same ascending-index strict-`<` argmin).
+/// For `Scalar` this runs one [`nearest_center`] per query. The tiled
+/// kernel packs the centers into panels and computes every query's
+/// argmin in one streaming pass — an `n × k` mini-GEMM. Tiled distances
+/// here are bit-identical to the per-query [`nearest_center`] tiled path
+/// (same canonical per-pair order, same ascending-index strict-`<`
+/// argmin).
 ///
 /// # Panics
 /// Panics when `out` is shorter than `points`, or when `centers` is empty
@@ -1124,613 +1346,7 @@ pub fn par_nearest_center_each(
     exec: Exec<'_>,
     out: &mut [(usize, f64)],
 ) {
-    assert!(out.len() >= points.len(), "output buffer too small");
-    if points.is_empty() {
-        // Trivially done, even with no centers (the trait contract).
-        return;
-    }
-    assert!(
-        !centers.is_empty(),
-        "nearest_center_each requires at least one center"
-    );
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                par_nearest_each_tiled(&v, points, centers, exec, out);
-            } else {
-                par_nearest_each_tiled(&tiled_view_f64(store), points, centers, exec, out);
-            }
-        }
-        _ => {
-            // One (size-chunked) nearest per query, consistent with
-            // `Metric::nearest`; chunk the queries across lanes.
-            let per_query = |start: usize, slice: &mut [(usize, f64)]| {
-                for (q, o) in points[start..start + slice.len()].iter().zip(slice) {
-                    *o = par_nearest_center(store, centers, *q, kernel, Exec::sequential())
-                        .expect("non-empty centers");
-                }
-            };
-            if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-                per_query(0, &mut out[..points.len()]);
-            } else {
-                ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, per_query);
-            }
-        }
-    }
-}
-
-fn par_nearest_each_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    centers: &[PointId],
-    exec: Exec<'_>,
-    out: &mut [(usize, f64)],
-) {
-    let panels = pack_panels(v, centers);
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return nearest_each_tiled(v, points, &panels, out);
-    }
-    ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, |start, slice| {
-        nearest_each_tiled(v, &points[start..start + slice.len()], &panels, slice);
-    });
-}
-
-fn nearest_each_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    panels: &tile::CenterPanels,
-    out: &mut [(usize, f64)],
-) {
-    debug_assert!(!panels.is_empty());
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let norms = [
-            v.norm_sq(blk[0]),
-            v.norm_sq(blk[1]),
-            v.norm_sq(blk[2]),
-            v.norm_sq(blk[3]),
-        ];
-        let mut best_sq = [f64::INFINITY; tile::TILE_POINTS];
-        let mut best_idx = [0usize; tile::TILE_POINTS];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            for p in 0..tile::TILE_POINTS {
-                for c in 0..tile::TILE_CENTERS {
-                    let nd_sq = ((norms[p] + cn[c]) - 2.0 * dots[p][c]).max(0.0);
-                    // Strict `<` over ascending center index: first wins.
-                    if nd_sq < best_sq[p] {
-                        best_sq[p] = nd_sq;
-                        best_idx[p] = g * tile::TILE_CENTERS + c;
-                    }
-                }
-            }
-        }
-        for p in 0..tile::TILE_POINTS {
-            out[i + p] = (best_idx[p], best_sq[p].sqrt());
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let row = v.row(id);
-        let n = v.norm_sq(id);
-        let mut best_sq = f64::INFINITY;
-        let mut best_idx = 0usize;
-        for g in 0..panels.n_panels() {
-            let dots = tile::dot_panel(row, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            for c in 0..tile::TILE_CENTERS {
-                let nd_sq = ((n + cn[c]) - 2.0 * dots[c]).max(0.0);
-                if nd_sq < best_sq {
-                    best_sq = nd_sq;
-                    best_idx = g * tile::TILE_CENTERS + c;
-                }
-            }
-        }
-        out[i] = (best_idx, best_sq.sqrt());
-        i += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Weighted (Apollonius) sweeps: additively-weighted nearest-center geometry.
-//
-// Every routine below is the `d(p, cᵢ) − wᵢ` form of its unweighted
-// sibling: each center carries an additive weight subtracted from the
-// Euclidean distance, which turns nearest-center cells from a Voronoi
-// into an Apollonius diagram. The factorized kernels stay in squared
-// space through the *threshold* comparison
-//
-//   d − w < m   ⟺   d < m + w   ⟺   d² < (m + w)²  when  m + w > 0,
-//
-// and a (non-negative) distance can never undercut a non-positive
-// threshold, so the guard `t > 0.0 && nd_sq < t·t` is exact. At `w = 0`
-// the threshold is the running minimum itself and every comparison and
-// write degenerates to the plain sweep's operation sequence — the
-// weighted path is bit-identical to the unweighted one, which
-// `tests/weighted_equivalence.rs` pins for all three kernels and both
-// storage modes. The same one-accumulator-ascending-dim per-pair dot,
-// +∞-padded panel columns (their `nd_sq` is +∞ and can never pass a
-// strict `<`), lowest-index tie-breaking, and one-eval-per-pair
-// instrumentation contract all carry over unchanged.
-// ---------------------------------------------------------------------------
-
-/// Tightens a running *weighted* minimum against a new center carrying
-/// additive weight `w`:
-/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the
-/// Apollonius form of [`dists_to_set_min`], and the inner loop of the
-/// weighted Gonzalez sweep. `min_dist` holds weighted distances (which
-/// may be negative once a weight exceeds a distance).
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn dists_to_set_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    dists_to_set_min_weighted_resolved(
-        store,
-        points,
-        center,
-        w,
-        kernel.dispatch(points.len(), store.dim()),
-        min_dist,
-    );
-}
-
-/// [`dists_to_set_min_weighted`] after dispatch (see
-/// [`dists_to_one_resolved`]).
-fn dists_to_set_min_weighted_resolved(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    match kernel {
-        Kernel::Scalar => {
-            let cc = store.coords(center);
-            for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-                let nd = dist_sq_scalar(store.coords(*p), cc).sqrt() - w;
-                if nd < *d {
-                    *d = nd;
-                }
-            }
-        }
-        Kernel::Blocked => {
-            // Threshold comparison in squared space: the sqrt runs only on
-            // an actual improvement, exactly like the plain sweep.
-            let cc = store.coords(center);
-            let cn = store.norm_sq(center);
-            for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-                let nd_sq = dist_sq_blocked(store.coords(*p), store.norm_sq(*p), cc, cn);
-                let t = *d + w;
-                if t > 0.0 && nd_sq < t * t {
-                    *d = nd_sq.sqrt() - w;
-                }
-            }
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                dists_to_set_min_weighted_tiled(&v, points, center, w, min_dist);
-            } else {
-                dists_to_set_min_weighted_tiled(
-                    &tiled_view_f64(store),
-                    points,
-                    center,
-                    w,
-                    min_dist,
-                );
-            }
-        }
-    }
-}
-
-fn dists_to_set_min_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    min_dist: &mut [f64],
-) {
-    let cc = v.row(center);
-    let cn = v.norm_sq(center);
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let dots = tile::dots_x4_one(rows, cc);
-        for p in 0..tile::TILE_POINTS {
-            let nd_sq = ((v.norm_sq(blk[p]) + cn) - 2.0 * dots[p]).max(0.0);
-            let d = &mut min_dist[i + p];
-            let t = *d + w;
-            if t > 0.0 && nd_sq < t * t {
-                *d = nd_sq.sqrt() - w;
-            }
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let nd_sq = ((v.norm_sq(id) + cn) - 2.0 * tile::dot_seq(v.row(id), cc)).max(0.0);
-        let d = &mut min_dist[i];
-        let t = *d + w;
-        if t > 0.0 && nd_sq < t * t {
-            *d = nd_sq.sqrt() - w;
-        }
-        i += 1;
-    }
-}
-
-/// Parallel [`dists_to_set_min_weighted`]: block-parallel over
-/// [`PAR_CHUNK`]-row blocks, elementwise like [`par_dists_to_set_min`],
-/// so bit-identical across every [`Exec`].
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn par_dists_to_set_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    let kernel = kernel.dispatch(points.len(), store.dim());
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_set_min_weighted_resolved(store, points, center, w, kernel, min_dist);
-    }
-    ukc_pool::for_each_slice(
-        exec,
-        &mut min_dist[..points.len()],
-        PAR_CHUNK,
-        |start, slice| {
-            dists_to_set_min_weighted_resolved(
-                store,
-                &points[start..start + slice.len()],
-                center,
-                w,
-                kernel,
-                slice,
-            );
-        },
-    );
-}
-
-/// Index (into `centers`) and *weighted* distance `d(q, cᵢ) − wᵢ` of the
-/// weighted-nearest center, ties broken toward the lower index; `None`
-/// for an empty center set.
-///
-/// # Panics
-/// Panics when `weights` and `centers` differ in length.
-pub fn nearest_center_weighted(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    nearest_center_weighted_resolved(
-        store,
-        centers,
-        weights,
-        q,
-        kernel.dispatch(centers.len(), store.dim()),
-    )
-}
-
-/// [`nearest_center_weighted`] after dispatch (see
-/// [`dists_to_one_resolved`]).
-fn nearest_center_weighted_resolved(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    assert_eq!(
-        centers.len(),
-        weights.len(),
-        "one weight per center required"
-    );
-    match kernel {
-        Kernel::Scalar => {
-            let qc = store.coords(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d = dist_sq_scalar(store.coords(*c), qc).sqrt() - weights[i];
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            }
-            best
-        }
-        Kernel::Blocked => {
-            // The running best is a weighted distance; candidates screen
-            // in squared space through the threshold `best + wᵢ`, paying
-            // a sqrt only past the screen. The screen is conservative
-            // (`<=`): `(d − w) + w` can round *above* `d`, so a strict
-            // squared test could re-take an exactly tied center and break
-            // lowest-index tie-breaking — the exact decision is the
-            // strict `<` on the weighted distance itself.
-            let qc = store.coords(q);
-            let qn = store.norm_sq(q);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in centers.iter().enumerate() {
-                let d_sq = dist_sq_blocked(store.coords(*c), store.norm_sq(*c), qc, qn);
-                match best {
-                    None => best = Some((i, d_sq.sqrt() - weights[i])),
-                    Some((_, bd)) => {
-                        let t = bd + weights[i];
-                        if t > 0.0 && d_sq <= t * t {
-                            let nd = d_sq.sqrt() - weights[i];
-                            if nd < bd {
-                                best = Some((i, nd));
-                            }
-                        }
-                    }
-                }
-            }
-            best
-        }
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                nearest_center_weighted_tiled(&v, centers, weights, q)
-            } else {
-                nearest_center_weighted_tiled(&tiled_view_f64(store), centers, weights, q)
-            }
-        }
-    }
-}
-
-fn nearest_center_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-) -> Option<(usize, f64)> {
-    let qr = v.row(q);
-    let qn = v.norm_sq(q);
-    let mut best: Option<(usize, f64)> = None;
-    for (i, c) in centers.iter().enumerate() {
-        let d_sq = ((v.norm_sq(*c) + qn) - 2.0 * tile::dot_seq(v.row(*c), qr)).max(0.0);
-        match best {
-            None => best = Some((i, d_sq.sqrt() - weights[i])),
-            Some((_, bd)) => {
-                // Conservative squared-space screen, exact linear-space
-                // decision (see the Blocked arm of
-                // `nearest_center_weighted_resolved`).
-                let t = bd + weights[i];
-                if t > 0.0 && d_sq <= t * t {
-                    let nd = d_sq.sqrt() - weights[i];
-                    if nd < bd {
-                        best = Some((i, nd));
-                    }
-                }
-            }
-        }
-    }
-    best
-}
-
-/// Parallel [`nearest_center_weighted`] over a large center set:
-/// per-chunk winners fold **in chunk-index order** with a strict `<` on
-/// the weighted distance, preserving first-wins tie-breaking. Chunking
-/// engages purely by size, never by [`Exec`], so `threads = 1` and
-/// `threads = N` agree bit for bit.
-///
-/// # Panics
-/// Panics when `weights` and `centers` differ in length.
-pub fn par_nearest_center_weighted(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-    exec: Exec<'_>,
-) -> Option<(usize, f64)> {
-    assert_eq!(
-        centers.len(),
-        weights.len(),
-        "one weight per center required"
-    );
-    let kernel = kernel.dispatch(centers.len(), store.dim());
-    if centers.len() < PAR_MIN_POINTS {
-        return nearest_center_weighted_resolved(store, centers, weights, q, kernel);
-    }
-    let partials = ukc_pool::map_chunks(exec, centers.len(), PAR_CHUNK, |r| {
-        nearest_center_weighted_resolved(store, &centers[r.clone()], &weights[r.clone()], q, kernel)
-            .map(|(i, d)| (i + r.start, d))
-    });
-    let mut best: Option<(usize, f64)> = None;
-    for p in partials.into_iter().flatten() {
-        if best.is_none_or(|(_, bd)| p.1 < bd) {
-            best = Some(p);
-        }
-    }
-    best
-}
-
-/// Weighted [`dists_to_centers_min`]:
-/// `min_dist[i] = min(min_dist[i], min_c d(points[i], cᵢ) − wᵢ)`.
-///
-/// Unlike the plain fused sweep, the weighted tiled path applies the
-/// per-center threshold update in ascending center order inside one
-/// streaming pass, so it is **bit-identical** to `centers.len()` passes
-/// of [`dists_to_set_min_weighted`] under the same resolved kernel.
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`, or when `weights`
-/// and `centers` differ in length.
-pub fn dists_to_centers_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    par_dists_to_centers_min_weighted(
-        store,
-        points,
-        centers,
-        weights,
-        kernel,
-        Exec::sequential(),
-        min_dist,
-    );
-}
-
-/// Parallel [`dists_to_centers_min_weighted`]: the tiled path packs
-/// panels once and chunks the points; each point's center loop runs
-/// entirely inside one chunk, so results are bit-identical for every
-/// [`Exec`].
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`, or when `weights`
-/// and `centers` differ in length.
-pub fn par_dists_to_centers_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-    assert_eq!(
-        centers.len(),
-        weights.len(),
-        "one weight per center required"
-    );
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                par_centers_min_weighted_tiled(&v, points, centers, weights, exec, min_dist);
-            } else {
-                par_centers_min_weighted_tiled(
-                    &tiled_view_f64(store),
-                    points,
-                    centers,
-                    weights,
-                    exec,
-                    min_dist,
-                );
-            }
-        }
-        kernel => {
-            for (c, w) in centers.iter().zip(weights) {
-                par_dists_to_set_min_weighted(store, points, *c, *w, kernel, exec, min_dist);
-            }
-        }
-    }
-}
-
-/// Weights re-laid to panel slots: pad columns get `0.0`, which is
-/// harmless — their `+∞` norms already make every padded `nd_sq` `+∞`,
-/// and `+∞` never passes a strict `<` threshold test.
-fn pad_weights(weights: &[f64], panels: &tile::CenterPanels) -> Vec<f64> {
-    let mut padded = vec![0.0; panels.n_panels() * tile::TILE_CENTERS];
-    padded[..weights.len()].copy_from_slice(weights);
-    padded
-}
-
-fn par_centers_min_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    let panels = pack_panels(v, centers);
-    let wpad = pad_weights(weights, &panels);
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return dists_to_centers_min_weighted_tiled(v, points, &panels, &wpad, min_dist);
-    }
-    ukc_pool::for_each_slice(
-        exec,
-        &mut min_dist[..points.len()],
-        PAR_CHUNK,
-        |start, slice| {
-            dists_to_centers_min_weighted_tiled(
-                v,
-                &points[start..start + slice.len()],
-                &panels,
-                &wpad,
-                slice,
-            );
-        },
-    );
-}
-
-fn dists_to_centers_min_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    panels: &tile::CenterPanels,
-    wpad: &[f64],
-    min_dist: &mut [f64],
-) {
-    if panels.is_empty() {
-        return;
-    }
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let norms = [
-            v.norm_sq(blk[0]),
-            v.norm_sq(blk[1]),
-            v.norm_sq(blk[2]),
-            v.norm_sq(blk[3]),
-        ];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
-            for p in 0..tile::TILE_POINTS {
-                let d = &mut min_dist[i + p];
-                for c in 0..tile::TILE_CENTERS {
-                    let nd_sq = ((norms[p] + cn[c]) - 2.0 * dots[p][c]).max(0.0);
-                    let t = *d + cw[c];
-                    if t > 0.0 && nd_sq < t * t {
-                        *d = nd_sq.sqrt() - cw[c];
-                    }
-                }
-            }
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let row = v.row(id);
-        let n = v.norm_sq(id);
-        let d = &mut min_dist[i];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dot_panel(row, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
-            for c in 0..tile::TILE_CENTERS {
-                let nd_sq = ((n + cn[c]) - 2.0 * dots[c]).max(0.0);
-                let t = *d + cw[c];
-                if t > 0.0 && nd_sq < t * t {
-                    *d = nd_sq.sqrt() - cw[c];
-                }
-            }
-        }
-        i += 1;
-    }
+    nearest_each(store, points, centers, NoWeights, kernel, exec, out);
 }
 
 /// Weighted [`nearest_center_each`]: fills `out[i]` with the index and
@@ -1749,7 +1365,7 @@ pub fn nearest_center_each_weighted(
     kernel: Kernel,
     out: &mut [(usize, f64)],
 ) {
-    par_nearest_center_each_weighted(
+    nearest_each(
         store,
         points,
         centers,
@@ -1777,156 +1393,7 @@ pub fn par_nearest_center_each_weighted(
     exec: Exec<'_>,
     out: &mut [(usize, f64)],
 ) {
-    assert!(out.len() >= points.len(), "output buffer too small");
-    assert_eq!(
-        centers.len(),
-        weights.len(),
-        "one weight per center required"
-    );
-    if points.is_empty() {
-        return;
-    }
-    assert!(
-        !centers.is_empty(),
-        "nearest_center_each_weighted requires at least one center"
-    );
-    let work = points.len().saturating_mul(centers.len());
-    match kernel.dispatch(work, store.dim()) {
-        Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                par_nearest_each_weighted_tiled(&v, points, centers, weights, exec, out);
-            } else {
-                par_nearest_each_weighted_tiled(
-                    &tiled_view_f64(store),
-                    points,
-                    centers,
-                    weights,
-                    exec,
-                    out,
-                );
-            }
-        }
-        kernel => {
-            let per_query = |start: usize, slice: &mut [(usize, f64)]| {
-                for (q, o) in points[start..start + slice.len()].iter().zip(slice) {
-                    *o = par_nearest_center_weighted(
-                        store,
-                        centers,
-                        weights,
-                        *q,
-                        kernel,
-                        Exec::sequential(),
-                    )
-                    .expect("non-empty centers");
-                }
-            };
-            if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-                per_query(0, &mut out[..points.len()]);
-            } else {
-                ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, per_query);
-            }
-        }
-    }
-}
-
-fn par_nearest_each_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    exec: Exec<'_>,
-    out: &mut [(usize, f64)],
-) {
-    let panels = pack_panels(v, centers);
-    let wpad = pad_weights(weights, &panels);
-    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
-        return nearest_each_weighted_tiled(v, points, &panels, &wpad, out);
-    }
-    ukc_pool::for_each_slice(exec, &mut out[..points.len()], PAR_CHUNK, |start, slice| {
-        nearest_each_weighted_tiled(
-            v,
-            &points[start..start + slice.len()],
-            &panels,
-            &wpad,
-            slice,
-        );
-    });
-}
-
-fn nearest_each_weighted_tiled<T: tile::Coord>(
-    v: &TiledView<'_, T>,
-    points: &[PointId],
-    panels: &tile::CenterPanels,
-    wpad: &[f64],
-    out: &mut [(usize, f64)],
-) {
-    debug_assert!(!panels.is_empty());
-    let mut blocks = points.chunks_exact(tile::TILE_POINTS);
-    let mut i = 0;
-    for blk in &mut blocks {
-        let rows = [v.row(blk[0]), v.row(blk[1]), v.row(blk[2]), v.row(blk[3])];
-        let norms = [
-            v.norm_sq(blk[0]),
-            v.norm_sq(blk[1]),
-            v.norm_sq(blk[2]),
-            v.norm_sq(blk[3]),
-        ];
-        let mut best = [f64::INFINITY; tile::TILE_POINTS];
-        let mut best_idx = [0usize; tile::TILE_POINTS];
-        for g in 0..panels.n_panels() {
-            let dots = tile::dots_x4_panel(rows, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
-            for p in 0..tile::TILE_POINTS {
-                for c in 0..tile::TILE_CENTERS {
-                    let nd_sq = ((norms[p] + cn[c]) - 2.0 * dots[p][c]).max(0.0);
-                    // Conservative squared-space screen over ascending
-                    // center index, exact strict `<` on the weighted
-                    // distance itself: `(d − w) + w` can round above
-                    // `d`, so a purely squared test could re-take an
-                    // exactly tied center and break lowest-index
-                    // tie-breaking. Padded (+∞) columns never pass the
-                    // linear test.
-                    let t = best[p] + cw[c];
-                    if t > 0.0 && nd_sq <= t * t {
-                        let nd = nd_sq.sqrt() - cw[c];
-                        if nd < best[p] {
-                            best[p] = nd;
-                            best_idx[p] = g * tile::TILE_CENTERS + c;
-                        }
-                    }
-                }
-            }
-        }
-        for p in 0..tile::TILE_POINTS {
-            out[i + p] = (best_idx[p], best[p]);
-        }
-        i += tile::TILE_POINTS;
-    }
-    for &id in blocks.remainder() {
-        let row = v.row(id);
-        let n = v.norm_sq(id);
-        let mut best = f64::INFINITY;
-        let mut best_idx = 0usize;
-        for g in 0..panels.n_panels() {
-            let dots = tile::dot_panel(row, panels.panel_coords(g));
-            let cn = panels.panel_norms_sq(g);
-            let cw = &wpad[g * tile::TILE_CENTERS..(g + 1) * tile::TILE_CENTERS];
-            for c in 0..tile::TILE_CENTERS {
-                let nd_sq = ((n + cn[c]) - 2.0 * dots[c]).max(0.0);
-                let t = best + cw[c];
-                if t > 0.0 && nd_sq <= t * t {
-                    let nd = nd_sq.sqrt() - cw[c];
-                    if nd < best {
-                        best = nd;
-                        best_idx = g * tile::TILE_CENTERS + c;
-                    }
-                }
-            }
-        }
-        out[i] = (best_idx, best);
-        i += 1;
-    }
+    nearest_each(store, points, centers, weights, kernel, exec, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1936,9 +1403,9 @@ fn nearest_each_weighted_tiled<T: tile::Coord>(
 // streams every location row past them, four centers per step. Each
 // kernel gets a panel micro-kernel whose lane `c` performs exactly the
 // floating-point operation sequence of that kernel's single-pair form
-// against center `c` — `dist_sq_scalar`, `dist_sq_blocked` over the
-// blocked-tree norms, or the tiled `dot_seq` form — so every distance is
-// bit-identical to `pair_dist`, only computed four lanes at a time.
+// against center `c` — `dist_sq_scalar`, or the tiled `dot_seq` form — so
+// every distance is bit-identical to `pair_dist`, only computed four
+// lanes at a time.
 // ---------------------------------------------------------------------------
 
 /// Lane `c` is [`dist_sq_scalar`]`(row, center c)`: one accumulator per
@@ -1956,57 +1423,6 @@ fn dist_sq_scalar_panel(row: &[f64], panel: &[f64]) -> [f64; tile::TILE_CENTERS]
     acc
 }
 
-/// Lane-wise `a + b`.
-#[inline(always)]
-fn add_lanes(
-    mut a: [f64; tile::TILE_CENTERS],
-    b: [f64; tile::TILE_CENTERS],
-) -> [f64; tile::TILE_CENTERS] {
-    for c in 0..tile::TILE_CENTERS {
-        a[c] += b[c];
-    }
-    a
-}
-
-/// Lane `c` is [`dot_blocked`]`(row, center c)`: the fixed [`dot8`] tree
-/// at `d = 8`, else eight strided accumulators, a sequential tail, and
-/// the same reduction tree.
-#[inline]
-fn dot_blocked_panel(row: &[f64], panel: &[f64]) -> [f64; tile::TILE_CENTERS] {
-    const L: usize = tile::TILE_CENTERS;
-    let col =
-        |t: usize| -> [f64; L] { panel[t * L..(t + 1) * L].try_into().expect("panel stride") };
-    let tree = |a: &[[f64; L]; 8]| {
-        add_lanes(
-            add_lanes(add_lanes(a[0], a[4]), add_lanes(a[1], a[5])),
-            add_lanes(add_lanes(a[2], a[6]), add_lanes(a[3], a[7])),
-        )
-    };
-    if let Ok(xs) = <&[f64; 8]>::try_from(row) {
-        return tree(&std::array::from_fn(|t| col(t).map(|y| xs[t] * y)));
-    }
-    let term = |t: usize| col(t).map(|y| row[t] * y);
-    let blocks = row.len() / 8;
-    let mut acc = [[0.0f64; L]; 8];
-    for b in 0..blocks {
-        for (lane, acc) in acc.iter_mut().enumerate() {
-            *acc = add_lanes(*acc, term(b * 8 + lane));
-        }
-    }
-    let mut tail = [0.0f64; L];
-    for t in blocks * 8..row.len() {
-        tail = add_lanes(tail, term(t));
-    }
-    add_lanes(tree(&acc), tail)
-}
-
-/// The factorized squared distance `(‖a‖² + ‖c‖² − 2a·c)⁺` from the
-/// two norms and the dot, in [`dist_sq_blocked`]'s operation order.
-#[inline(always)]
-fn factorized_dist_sq(a_norm_sq: f64, c_norm_sq: f64, dot: f64) -> f64 {
-    ((a_norm_sq + c_norm_sq) - 2.0 * dot).max(0.0)
-}
-
 /// Fills `out[i]` with the index of the center minimizing the expected
 /// distance `Σⱼ pᵢⱼ·d(Pᵢⱼ, c)` from `points[i]` (less `weights[c]` when
 /// weights are given), ties toward the lower index — the batched ED
@@ -2015,12 +1431,11 @@ fn factorized_dist_sq(a_norm_sq: f64, c_norm_sq: f64, dot: f64) -> f64 {
 ///
 /// Every pair uses exactly the arithmetic of [`pair_dist`] under
 /// `kernel` (no [`Kernel::dispatch`]: the pointwise loop this replaces
-/// never dispatched either; the tiled kernel reads the f32 mirror when
-/// the store carries one), and each center's terms are summed in support
-/// order starting from the first term, which is what `.sum()` computes.
-/// The output is therefore identical to the trait's default per-pair
-/// loop over the same oracle. Sequential: callers chunk `points` across
-/// lanes.
+/// never dispatched either), and each center's terms are summed in
+/// support order starting from the first term, which is what `.sum()`
+/// computes. The output is therefore identical to the trait's default
+/// per-pair loop over the same oracle. Sequential: callers chunk
+/// `points` across lanes.
 ///
 /// # Panics
 /// Panics when `out` is shorter than `points`, when `weights` and
@@ -2038,42 +1453,26 @@ pub fn expected_nearest_each<S: DiscreteDistribution<PointId>>(
     if points.is_empty() {
         return;
     }
-    let coords = |c: usize, t: usize| store.coords(centers[c])[t];
+    let panels = pack_panels(store, centers);
     let row = |id: PointId| (store.coords(id), store.norm_sq(id));
     match kernel {
         Kernel::Scalar => {
-            let panels = tile::CenterPanels::pack(centers.len(), store.dim(), coords, |_| 0.0);
-            let (lanes, finish) = (dist_sq_scalar_panel, |_: f64, _: f64, d_sq: f64| d_sq);
-            expected_nearest_panels(points, &panels, weights, out, row, lanes, finish);
-        }
-        Kernel::Blocked => {
-            let panels = tile::CenterPanels::pack(centers.len(), store.dim(), coords, |c| {
-                store.norm_sq(centers[c])
-            });
-            let (lanes, finish) = (dot_blocked_panel, factorized_dist_sq);
-            expected_nearest_panels(points, &panels, weights, out, row, lanes, finish);
+            let finish = |_: f64, _: f64, d_sq: f64| d_sq;
+            expected_nearest_panels(
+                points,
+                &panels,
+                weights,
+                out,
+                row,
+                dist_sq_scalar_panel,
+                finish,
+            );
         }
         Kernel::Tiled => {
-            if let Some(v) = tiled_view_f32(store) {
-                expected_nearest_tiled(&v, points, centers, weights, out);
-            } else {
-                expected_nearest_tiled(&tiled_view_f64(store), points, centers, weights, out);
-            }
+            let (lanes, finish) = (tile::dot_panel, factorized_dist_sq);
+            expected_nearest_panels(points, &panels, weights, out, row, lanes, finish);
         }
     }
-}
-
-fn expected_nearest_tiled<T: tile::Coord, S: DiscreteDistribution<PointId>>(
-    v: &TiledView<'_, T>,
-    points: &[S],
-    centers: &[PointId],
-    weights: Option<&[f64]>,
-    out: &mut [usize],
-) {
-    let panels = pack_panels(v, centers);
-    let row = |id: PointId| (v.row(id), v.norm_sq(id));
-    let (lanes, finish) = (tile::dot_panel, factorized_dist_sq);
-    expected_nearest_panels(points, &panels, weights, out, row, lanes, finish);
 }
 
 /// The shared sweep body. For each point, every location row goes past
@@ -2083,13 +1482,13 @@ fn expected_nearest_tiled<T: tile::Coord, S: DiscreteDistribution<PointId>>(
 /// into their centers' running sums in support order. Last comes the
 /// strict-`<` argmin over the real centers (padded panel columns
 /// accumulate values it never reads).
-fn expected_nearest_panels<'a, T: 'a, S: DiscreteDistribution<PointId>>(
+fn expected_nearest_panels<'a, S: DiscreteDistribution<PointId>>(
     points: &[S],
     panels: &tile::CenterPanels,
     weights: Option<&[f64]>,
     out: &mut [usize],
-    row: impl Fn(PointId) -> (&'a [T], f64),
-    lanes: impl Fn(&[T], &[f64]) -> [f64; tile::TILE_CENTERS],
+    row: impl Fn(PointId) -> (&'a [f64], f64),
+    lanes: impl Fn(&[f64], &[f64]) -> [f64; tile::TILE_CENTERS],
     finish: impl Fn(f64, f64, f64) -> f64,
 ) {
     let padded = panels.n_panels() * tile::TILE_CENTERS;
@@ -2156,26 +1555,23 @@ mod tests {
     #[test]
     fn ed_panel_lanes_match_the_single_pair_kernels_bitwise() {
         // Lane c of each ED micro-kernel must be the per-pair kernel
-        // against center c, bit for bit, in every dimension class: below
-        // one dot block, exactly the d = 8 tree, blocks plus a tail.
+        // against center c, bit for bit, in every dimension class.
         for d in [1usize, 2, 3, 7, 8, 9, 16, 19] {
             let st = store(d as u64 + 40, 9, d);
             let centers: Vec<PointId> = (4..9).map(PointId).collect();
-            let coords = |c: usize, t: usize| st.coords(centers[c])[t];
-            let panels = tile::CenterPanels::pack(centers.len(), d, coords, |_| 0.0);
+            let panels = pack_panels(&st, &centers);
             for row in (0..4).map(PointId) {
                 let a = st.coords(row);
                 for g in 0..panels.n_panels() {
                     let scalar = dist_sq_scalar_panel(a, panels.panel_coords(g));
-                    let blocked = dot_blocked_panel(a, panels.panel_coords(g));
+                    let tiled = tile::dot_panel(a, panels.panel_coords(g));
                     for (c, &id) in centers.iter().enumerate().skip(g * 4).take(4) {
                         let b = st.coords(id);
                         let lane = c % 4;
                         assert_eq!(scalar[lane].to_bits(), dist_sq_scalar(a, b).to_bits());
-                        assert_eq!(blocked[lane].to_bits(), dot_blocked(a, b).to_bits());
-                        let dist =
-                            factorized_dist_sq(st.norm_sq(row), st.norm_sq(id), blocked[lane]);
-                        let reference = dist_sq_blocked(a, st.norm_sq(row), b, st.norm_sq(id));
+                        let dist = factorized_dist_sq(st.norm_sq(row), st.norm_sq(id), tiled[lane]);
+                        let reference =
+                            dist_sq_to_coords(&st, row, b, st.norm_sq(id), Kernel::Tiled);
                         assert_eq!(dist.to_bits(), reference.to_bits(), "d={d}");
                     }
                 }
@@ -2184,13 +1580,21 @@ mod tests {
     }
 
     #[test]
-    fn dot_blocked_matches_sequential() {
+    fn tiled_dots_match_dot_seq_bitwise() {
+        // Every tiled dot form — four rows against one query, one row
+        // against a panel — is the canonical sequential dot, bit for bit.
         for d in [1usize, 7, 8, 9, 24, 31] {
-            let s = store(d as u64, 2, d);
-            let a = s.coords(PointId(0));
-            let b = s.coords(PointId(1));
-            let sequential: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-            assert!((dot_blocked(a, b) - sequential).abs() < 1e-9 * (1.0 + sequential.abs()));
+            let s = store(d as u64, 6, d);
+            let ids = s.ids();
+            let q = s.coords(PointId(5));
+            let dots = tile::dots_x4_one(std::array::from_fn(|p| s.coords(ids[p])), q);
+            let panels = pack_panels(&s, &ids[..4]);
+            let lanes = tile::dot_panel(q, panels.panel_coords(0));
+            for p in 0..4 {
+                let sequential = tile::dot_seq(s.coords(ids[p]), q);
+                assert_eq!(dots[p].to_bits(), sequential.to_bits(), "d={d}");
+                assert_eq!(lanes[p].to_bits(), sequential.to_bits(), "d={d}");
+            }
         }
     }
 
@@ -2200,10 +1604,10 @@ mod tests {
         let ids = s.ids();
         for q in [PointId(0), PointId(7), PointId(19)] {
             let mut scalar = vec![0.0; ids.len()];
-            let mut blocked = vec![0.0; ids.len()];
+            let mut tiled = vec![0.0; ids.len()];
             dists_to_one(&s, &ids, q, Kernel::Scalar, &mut scalar);
-            dists_to_one(&s, &ids, q, Kernel::Blocked, &mut blocked);
-            for (a, b) in scalar.iter().zip(blocked.iter()) {
+            dists_to_one(&s, &ids, q, Kernel::Tiled, &mut tiled);
+            for (a, b) in scalar.iter().zip(tiled.iter()) {
                 assert!((a - b).abs() < 1e-9 * (1.0 + a));
             }
         }
@@ -2233,7 +1637,7 @@ mod tests {
         ];
         let s = PointStore::from_points(&pts);
         let centers = [PointId(0), PointId(1)];
-        let (idx, d) = nearest_center(&s, &centers, PointId(2), Kernel::Blocked).unwrap();
+        let (idx, d) = nearest_center(&s, &centers, PointId(2), Kernel::Tiled).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(d, 1.0);
         assert!(nearest_center(&s, &[], PointId(2), Kernel::Scalar).is_none());
@@ -2321,10 +1725,8 @@ mod tests {
         // Scalar always passes through.
         assert_eq!(Kernel::Scalar.dispatch(1_000_000, 32), Kernel::Scalar);
         // Below the measured work cutoff (n=1k, d=8 loses): scalar.
-        assert_eq!(Kernel::Blocked.dispatch(1_000, 8), Kernel::Scalar);
         assert_eq!(Kernel::Tiled.dispatch(1_000, 8), Kernel::Scalar);
         // From the cutoff upward the requested kernel runs (n=1k, d=32).
-        assert_eq!(Kernel::Blocked.dispatch(1_000, 32), Kernel::Blocked);
         assert_eq!(Kernel::Tiled.dispatch(1_000, 32), Kernel::Tiled);
         // The boundary is inclusive: work == FACTORIZED_MIN_WORK engages.
         let evals = FACTORIZED_MIN_WORK / 4;
@@ -2337,6 +1739,8 @@ mod tests {
         for k in Kernel::ALL {
             assert_eq!(Kernel::parse(k.name()), Some(k));
         }
+        // The retired blocked kernel's name resolves to the tiled kernel.
+        assert_eq!(Kernel::parse("blocked"), Some(Kernel::Tiled));
         assert_eq!(Kernel::parse("simd"), None);
         assert_eq!(Kernel::parse(""), None);
     }
@@ -2397,10 +1801,10 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             // Reference: min over centers of the canonical tiled squared
             // distance, one sqrt at the end — the documented semantics.
-            let n = s.norm_sq_seq(*id);
+            let n = s.norm_sq(*id);
             let mut best = f64::INFINITY;
             for c in &centers {
-                let nd_sq = ((n + s.norm_sq_seq(*c))
+                let nd_sq = ((n + s.norm_sq(*c))
                     - 2.0 * tile::dot_seq(s.coords(*id), s.coords(*c)))
                 .max(0.0);
                 if nd_sq < best {
@@ -2442,7 +1846,7 @@ mod tests {
             // The per-query tiled path (bypassing dispatch: 7 centers is
             // far below the cutoff) must agree bit for bit — same
             // canonical per-pair order, same ascending strict-< argmin.
-            let (bi, bd) = nearest_center_resolved(&s, &centers, *id, Kernel::Tiled).unwrap();
+            let (bi, bd) = nearest_resolved(&s, &centers, NoWeights, *id, Kernel::Tiled).unwrap();
             assert_eq!(fused[i].0, bi, "point {i}");
             assert_eq!(fused[i].1.to_bits(), bd.to_bits(), "point {i}");
         }
@@ -2467,9 +1871,9 @@ mod tests {
         let mut out = vec![(9usize, -1.0f64); queries.len()];
         // Call the tiled path directly: this sweep sits below the
         // dispatch cutoff on purpose (ties are a small-case hazard too).
-        let v = tiled_view_f64(&s);
-        let panels = pack_panels(&v, &centers);
-        nearest_each_tiled(&v, &queries, &panels, &mut out);
+        let panels = pack_panels(&s, &centers);
+        let wpad = NoWeights.padded(panels.n_panels() * tile::TILE_CENTERS);
+        nearest_each_panels(&s, &queries, &panels, &wpad, &mut out);
         for (i, (idx, d)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} must tie-break to the lowest index");
             assert!(d.is_finite());
@@ -2479,13 +1883,12 @@ mod tests {
     #[test]
     fn center_panels_pad_with_infinite_norms() {
         let s = store(3, 10, 5);
-        let v = tiled_view_f64(&s);
         let centers: Vec<PointId> = (0..5).map(PointId).collect();
-        let panels = pack_panels(&v, &centers);
+        let panels = pack_panels(&s, &centers);
         assert_eq!(panels.len(), 5);
         assert_eq!(panels.n_panels(), 2);
         let tail = panels.panel_norms_sq(1);
-        assert_eq!(tail[0], s.norm_sq_seq(PointId(4)));
+        assert_eq!(tail[0], s.norm_sq(PointId(4)));
         assert!(tail[1..].iter().all(|n| n.is_infinite()));
         // Column-major layout: coordinate t of panel-local center j.
         for (c, id) in centers.iter().enumerate() {
@@ -2655,12 +2058,13 @@ mod tests {
         let centers: Vec<PointId> = (0..5).map(PointId).collect();
         let weights = vec![1e6; 5];
         let mut each = vec![(0usize, 0.0f64); ids.len()];
-        let v = tiled_view_f64(&s);
-        let panels = pack_panels(&v, &centers);
-        let wpad = pad_weights(&weights, &panels);
+        let panels = pack_panels(&s, &centers);
+        let wpad = weights
+            .as_slice()
+            .padded(panels.n_panels() * tile::TILE_CENTERS);
         assert_eq!(wpad.len(), 8);
         assert!(wpad[5..].iter().all(|w| *w == 0.0));
-        nearest_each_weighted_tiled(&v, &ids, &panels, &wpad, &mut each);
+        nearest_each_panels(&s, &ids, &panels, &wpad, &mut each);
         for (i, (idx, d)) in each.iter().enumerate() {
             assert!(*idx < 5, "point {i} picked a pad column");
             assert!(d.is_finite() && *d < 0.0, "point {i}");

@@ -112,7 +112,7 @@ pub trait DiscreteDistribution<P> {
 /// [`Metric::dist`], in the exact order the scalar loops always used, so
 /// finite, graph, and tree metrics (and any custom [`Metric`]) participate
 /// unchanged by adding an empty `impl DistanceOracle<…> for …` block. The
-/// [`StoreOracle`] over a [`PointStore`] overrides them with the blocked
+/// [`StoreOracle`] over a [`PointStore`] overrides them with the batched
 /// kernels of [`batch`], which is where the structure-of-arrays layout and
 /// the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` factorization pay off.
 ///

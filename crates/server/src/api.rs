@@ -13,8 +13,9 @@
 //!   "eps": 0.25,             // grid only
 //!   "seed": 0,
 //!   "lower_bound": true,     // certify a lower bound in the report
-//!   "kernel": "tiled",       // scalar | blocked | tiled  (default: the
-//!                            // server's --kernel, "blocked" out of the box)
+//!   "kernel": "tiled",       // scalar | tiled  (default: the server's
+//!                            // --kernel, "tiled" out of the box; the
+//!                            // retired name "blocked" means "tiled")
 //!   "assignment": "plain",   // plain | weighted (additively-weighted
 //!                            // Apollonius assignment; default "plain")
 //!   "cache": true            // false bypasses the solution cache
@@ -193,7 +194,7 @@ fn parse_solve_fields(doc: &Json, allowed: &[&str]) -> Result<SolveRequest, ApiE
                 ApiError::bad_request(
                     "bad_schema",
                     format!(
-                        "\"kernel\" must be \"scalar\", \"blocked\", or \"tiled\", got {}",
+                        "\"kernel\" must be \"scalar\" or \"tiled\", got {}",
                         raw.compact()
                     ),
                 )
@@ -353,6 +354,11 @@ mod tests {
         assert!(r.explicit_kernel);
         let r = r.apply_default_kernel(Kernel::Tiled);
         assert_eq!(r.config.kernel(), Kernel::Scalar);
+        // The retired name "blocked" is an explicit choice of "tiled".
+        let r = parse(r#"{"k": 2, "kernel": "blocked"}"#).unwrap();
+        assert!(r.explicit_kernel);
+        let r = r.apply_default_kernel(Kernel::Scalar);
+        assert_eq!(r.config.kernel(), Kernel::Tiled);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! arithmetic, which is exactly the loop the ED rule ran before the
 //! override existed:
 //!
-//! * identical assignments for every kernel, with and without the f32
-//!   mirror, plain and weighted, sequential and pooled, on an instance
-//!   past `PAR_MIN_POINTS` with mixed support sizes;
+//! * identical assignments for every kernel, plain and weighted,
+//!   sequential and pooled, on an instance past `PAR_MIN_POINTS` with
+//!   mixed support sizes;
 //! * exact ties between centers (duplicated center ids and duplicated
 //!   coordinate rows) break toward the lower index;
 //! * the evaluation counter advances by exactly `Σᵢ zᵢ·k`.
@@ -157,22 +157,13 @@ fn ed_sweep_matches_the_per_pair_loop_past_the_parallel_cutoff() {
 
 #[test]
 fn ed_sweep_matches_the_per_pair_loop_in_odd_dimensions() {
-    // d = 3, 11 and 16 take the blocked dot's strided path (no block,
-    // one block and a tail, two blocks); d = 2 sits below every dispatch
-    // cutoff, which the per-pair arithmetic ignores.
+    // Odd widths leave partial panels and dimension tails; d = 2 sits
+    // below every dispatch cutoff, which the per-pair arithmetic ignores.
     for dim in [2usize, 3, 11, 16] {
         let set = instance(dim as u64, 600, dim);
         let (store, set_ids) = set.indexed_store();
         check_store(&store, &set_ids, &Kernel::ALL, 9);
     }
-}
-
-#[test]
-fn ed_sweep_matches_the_per_pair_loop_on_the_f32_mirror() {
-    let set = instance(11, PAR_MIN_POINTS + 5, 8);
-    let (mut store, set_ids) = set.indexed_store();
-    store.try_enable_f32().unwrap();
-    check_store(&store, &set_ids, &[Kernel::Tiled], 6);
 }
 
 #[test]

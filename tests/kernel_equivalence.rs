@@ -1,22 +1,20 @@
 //! Bit-identity and tolerance equivalence between the distance kernels.
 //!
-//! The solver pipeline evaluates every distance through one of three
+//! The solver pipeline evaluates every distance through one of two
 //! kernels (`SolverConfig::kernel`): `Scalar`, which preserves the
-//! historical per-pair f64 summation order, `Blocked`, the default
-//! norm-factorized 8-wide path, and `Tiled`, the register-tiled
-//! mini-GEMM over center panels. This suite pins the contract between
-//! them:
+//! historical per-pair f64 summation order, and `Tiled`, the default
+//! norm-factorized register-tiled mini-GEMM over center panels. This
+//! suite pins the contract between them:
 //!
 //! * `Scalar` is **bit-identical** to a hand-rolled reference pipeline
 //!   built from the pointwise `Euclidean` metric (exact-equality
 //!   goldens);
-//! * `Blocked` and `Tiled` agree with `Scalar` on centers and costs
-//!   within `1e-9` and on assignments exactly (random instances have no
-//!   knife-edge ties at kernel rounding scale);
-//! * with the opt-in f32 storage mirror, `Tiled` agrees with `Scalar`
-//!   within the f32 rounding bound documented at
-//!   `PointStore::try_enable_f32` (coordinates round once at ingest;
-//!   accumulation stays f64);
+//! * `Tiled` agrees with `Scalar` on centers and costs within `1e-9` and
+//!   on assignments exactly (random instances have no knife-edge ties at
+//!   kernel rounding scale);
+//! * centers computed outside the store (grid vertices, ball centers)
+//!   cancel exactly against an equal store row under `Tiled`, and the
+//!   grid and ball solvers agree with `Scalar` within `1e-9`;
 //! * nearest-center ties break toward the lowest index under every
 //!   kernel, including tied centers straddling tile-panel boundaries;
 //! * the per-stage `Report.distance_evals` counters are **identical**
@@ -57,7 +55,7 @@ fn strategies() -> [CertainStrategy; 4] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The factorized kernels (Blocked, Tiled) agree with Scalar on
+    /// The factorized kernel (Tiled) agrees with Scalar on
     /// random instances: same assignment, centers and costs within
     /// 1e-9, identical per-stage eval counts.
     #[test]
@@ -76,40 +74,39 @@ proptest! {
                     .unwrap()
                     .solve(&cfg(rule, strategy, Kernel::Scalar))
                     .unwrap();
-                for kernel in [Kernel::Blocked, Kernel::Tiled] {
-                    let other = Problem::euclidean(set.clone(), k)
-                        .unwrap()
-                        .solve(&cfg(rule, strategy, kernel))
-                        .unwrap();
-                    prop_assert_eq!(
-                        &scalar.assignment, &other.assignment,
-                        "assignment ({:?}/{:?}/{:?})", rule, strategy, kernel
-                    );
-                    prop_assert_eq!(scalar.centers.len(), other.centers.len());
-                    for (a, b) in scalar.centers.iter().zip(other.centers.iter()) {
-                        for (x, y) in a.coords().iter().zip(b.coords().iter()) {
-                            prop_assert!((x - y).abs() <= 1e-9, "center coord {x} vs {y}");
-                        }
+                let kernel = Kernel::Tiled;
+                let other = Problem::euclidean(set.clone(), k)
+                    .unwrap()
+                    .solve(&cfg(rule, strategy, kernel))
+                    .unwrap();
+                prop_assert_eq!(
+                    &scalar.assignment, &other.assignment,
+                    "assignment ({:?}/{:?}/{:?})", rule, strategy, kernel
+                );
+                prop_assert_eq!(scalar.centers.len(), other.centers.len());
+                for (a, b) in scalar.centers.iter().zip(other.centers.iter()) {
+                    for (x, y) in a.coords().iter().zip(b.coords().iter()) {
+                        prop_assert!((x - y).abs() <= 1e-9, "center coord {x} vs {y}");
                     }
-                    prop_assert!(
-                        (scalar.ecost - other.ecost).abs() <= 1e-9 * (1.0 + scalar.ecost),
-                        "ecost {} vs {} ({:?}/{:?}/{:?})",
-                        scalar.ecost, other.ecost, rule, strategy, kernel
-                    );
-                    prop_assert!(
-                        (scalar.certain_radius - other.certain_radius).abs()
-                            <= 1e-9 * (1.0 + scalar.certain_radius),
-                        "radius {} vs {}", scalar.certain_radius, other.certain_radius
-                    );
-                    // The acceptance bar: switching kernels never changes the
-                    // number of distance evaluations, stage by stage.
-                    let (s, b) = (scalar.report.distance_evals, other.report.distance_evals);
-                    prop_assert_eq!(s.representatives, b.representatives);
-                    prop_assert_eq!(s.certain_solve, b.certain_solve, "{:?}/{:?}", rule, strategy);
-                    prop_assert_eq!(s.assignment, b.assignment);
-                    prop_assert_eq!(s.cost, b.cost);
-                    prop_assert_eq!(s.lower_bound, b.lower_bound);
                 }
+                prop_assert!(
+                    (scalar.ecost - other.ecost).abs() <= 1e-9 * (1.0 + scalar.ecost),
+                    "ecost {} vs {} ({:?}/{:?}/{:?})",
+                    scalar.ecost, other.ecost, rule, strategy, kernel
+                );
+                prop_assert!(
+                    (scalar.certain_radius - other.certain_radius).abs()
+                        <= 1e-9 * (1.0 + scalar.certain_radius),
+                    "radius {} vs {}", scalar.certain_radius, other.certain_radius
+                );
+                // The acceptance bar: switching kernels never changes the
+                // number of distance evaluations, stage by stage.
+                let (s, b) = (scalar.report.distance_evals, other.report.distance_evals);
+                prop_assert_eq!(s.representatives, b.representatives);
+                prop_assert_eq!(s.certain_solve, b.certain_solve, "{:?}/{:?}", rule, strategy);
+                prop_assert_eq!(s.assignment, b.assignment);
+                prop_assert_eq!(s.cost, b.cost);
+                prop_assert_eq!(s.lower_bound, b.lower_bound);
             }
         }
     }
@@ -186,11 +183,10 @@ proptest! {
     }
 }
 
-/// A factorized kernel's distance of a point to itself is exactly zero
-/// (cached norms make `‖a‖² + ‖a‖² − 2a·a` cancel — the blocked kernel
-/// caches blocked-order norms, the tiled kernel sequential-order norms,
-/// each matching its own dot product), so duplicate-point degeneracies
-/// behave identically under every kernel.
+/// The tiled kernel's distance of a point to itself is exactly zero
+/// (the store caches norms in the tiled dot product's own order, so
+/// `‖a‖² + ‖a‖² − 2a·a` cancels), so duplicate-point degeneracies behave
+/// identically under every kernel.
 #[test]
 fn duplicate_points_collapse_identically() {
     let set = UncertainSet::new(vec![
@@ -225,64 +221,65 @@ fn coords(seed: u64, n: usize, dim: usize) -> Vec<Vec<f64>> {
     (0..n).map(|_| (0..dim).map(|_| rnd()).collect()).collect()
 }
 
-/// Builds a store, additionally enabling the f32 mirror when CI's
-/// determinism matrix sets `UKC_TEST_STORAGE=f32`. The tests using this
-/// helper assert storage-independent properties (tie-breaking, pair
-/// counts), so they must pass identically either way — only the tiled
-/// kernel even reads the mirror.
+/// A store of `n` pseudo-random rows in the unit box.
 fn store_of(seed: u64, n: usize, dim: usize) -> PointStore {
     let mut store = PointStore::new(dim);
     for row in coords(seed, n, dim) {
         store.try_push(&row).unwrap();
     }
-    if std::env::var("UKC_TEST_STORAGE").as_deref() == Ok("f32") {
-        store.try_enable_f32().unwrap();
-    }
     store
 }
 
-/// With the opt-in f32 mirror, the tiled kernel agrees with the scalar
-/// f64 reference within the f32 rounding bound: coordinates round once
-/// at ingest (relative error ≤ `f32::EPSILON / 2` per coordinate) and
-/// accumulation stays f64, so for unit-box coordinates the distance
-/// error is bounded by a few `f32::EPSILON · √d`. The instance is large
-/// enough (`n·d ≥ FACTORIZED_MIN_WORK`) that the tiled path genuinely
-/// engages rather than falling back to scalar.
+/// Grid vertices and moving ball centers are computed coordinates, not
+/// store rows; both solvers measure them through
+/// `batch::dist_sq_to_coords`. Under the tiled kernel a computed center
+/// equal to a store row is exactly `0.0` away from it (its norm is taken
+/// in the store's own `dot_seq` order), and the grid and ball solvers
+/// agree with the scalar kernel within the factorized tolerance.
 #[test]
-fn tiled_f32_storage_matches_scalar_within_f32_bound() {
-    let (n, dim) = (1_500, 16);
-    let mut store = store_of(77, n, dim);
-    store.try_enable_f32().unwrap();
-    assert!(store.has_f32());
-
-    let ids: Vec<PointId> = (0..n).map(PointId).collect();
-    let q = PointId(n - 1);
-    let scalar = StoreOracle::new(&store, Kernel::Scalar);
-    let tiled = StoreOracle::new(&store, Kernel::Tiled);
-    let mut want = vec![0.0; n];
-    let mut got = vec![0.0; n];
-    scalar.dists_to_one(&ids, &q, &mut want);
-    tiled.dists_to_one(&ids, &q, &mut got);
-    // Unit box, d = 16: distances are ≤ 4, squared-space f32 rounding
-    // contributes ≲ 8·ε₃₂ per pair; 1e-5·(1+d) leaves slack without
-    // masking a broken mirror (f64-vs-f64 would be ~1e-16, a *stale*
-    // mirror ~1e-1).
-    for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-        assert!(
-            (w - g).abs() <= 1e-5 * (1.0 + w),
-            "point {i}: scalar {w} vs tiled-f32 {g}"
+fn computed_centers_cancel_exactly_and_agree_with_scalar() {
+    use ukc_metric::batch::{dist_sq_to_coords, tile::dot_seq};
+    let store = store_of(5, 40, 7);
+    for i in 0..store.len() {
+        let id = PointId(i);
+        let center = store.coords(id).to_vec();
+        let norm = dot_seq(&center, &center);
+        assert_eq!(
+            dist_sq_to_coords(&store, id, &center, norm, Kernel::Tiled),
+            0.0,
+            "row {i}"
         );
     }
 
-    // Exact duplicates still cancel exactly: both coordinates round to
-    // the same f32 row, and the sequential-order norm matches the
-    // sequential-order dot bit for bit.
-    let mut dup_store = PointStore::new(3);
-    let a = dup_store.try_push(&[0.1, 0.2, 0.3]).unwrap();
-    let b = dup_store.try_push(&[0.1, 0.2, 0.3]).unwrap();
-    dup_store.try_enable_f32().unwrap();
-    let d = ukc_metric::batch::pair_dist(&dup_store, a, b, Kernel::Tiled);
-    assert_eq!(d, 0.0);
+    // Enough points and dimensions that the grid's Gonzalez sweeps and
+    // exact search run tiled rather than demoting to scalar.
+    let points: Vec<Point> = coords(13, 60, 3).into_iter().map(Point::new).collect();
+    let grid = |kernel| {
+        let opts = GridOptions {
+            eps: 0.5,
+            kernel,
+            ..Default::default()
+        };
+        grid_kcenter(&points, 3, opts).expect("grid within caps")
+    };
+    let (scalar, tiled) = (grid(Kernel::Scalar), grid(Kernel::Tiled));
+    assert!((scalar.radius - tiled.radius).abs() <= 1e-9 * (1.0 + scalar.radius));
+    assert_eq!(scalar.centers.len(), tiled.centers.len());
+    for (a, b) in scalar.centers.iter().zip(&tiled.centers) {
+        for (x, y) in a.coords().iter().zip(b.coords()) {
+            assert!((x - y).abs() <= 1e-9, "grid center coord {x} vs {y}");
+        }
+    }
+
+    let store = store_of(21, 300, 9);
+    let meb = |kernel| {
+        ukc_geometry::min_enclosing_ball_approx_store(&store, 0.1, kernel).expect("non-empty")
+    };
+    let (scalar, tiled) = (meb(Kernel::Scalar), meb(Kernel::Tiled));
+    assert!((scalar.radius - tiled.radius).abs() <= 1e-9 * (1.0 + scalar.radius));
+    for (x, y) in scalar.center.coords().iter().zip(tiled.center.coords()) {
+        assert!((x - y).abs() <= 1e-9, "ball center coord {x} vs {y}");
+    }
 }
 
 /// Nearest-center ties break toward the lowest index under every

@@ -386,6 +386,64 @@ fn repeated_solves_hit_the_cache_and_report_it() {
     handle.shutdown();
 }
 
+/// `"blocked"`, the name of a retired kernel, is an alias of `"tiled"`:
+/// it resolves before the cache key is built, so both names share one
+/// cache entry and one response body, and `/metrics` only ever reports
+/// the two live kernels.
+#[test]
+fn blocked_kernel_alias_shares_the_tiled_cache_entry() {
+    let (handle, addr) = start(ServerConfig::default());
+    let upload = parse(&post(addr, "/instances", &instance_body(6)));
+    let id = upload.get("id").and_then(Json::as_str).unwrap().to_string();
+    let path = format!("/instances/{id}/solve");
+
+    let blocked = post(addr, &path, r#"{"k": 3, "kernel": "blocked"}"#);
+    assert_eq!(blocked.status, 200, "{}", blocked.body);
+    let tiled = post(addr, &path, r#"{"k": 3, "kernel": "tiled"}"#);
+    assert_eq!(tiled.status, 200, "{}", tiled.body);
+    assert_eq!(
+        parse(&tiled).get("cached").and_then(Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(metric(addr, &["cache", "hits"]), 1.0);
+    assert_eq!(metric(addr, &["cache", "misses"]), 1.0);
+    // Byte-identical apart from the cache flag, and exactly identical
+    // between two hits.
+    assert_eq!(
+        blocked
+            .body
+            .replace(r#""cached": false"#, r#""cached": true"#),
+        tiled.body
+    );
+    let again = post(addr, &path, r#"{"k": 3, "kernel": "blocked"}"#);
+    assert_eq!(again.body, tiled.body);
+
+    let doc = parse(&get(addr, "/metrics"));
+    let by_kernel = doc
+        .get("solves")
+        .and_then(|s| s.get("by_kernel"))
+        .expect("solves.by_kernel");
+    let Json::Obj(entries) = by_kernel else {
+        panic!("by_kernel is not an object: {}", by_kernel.compact());
+    };
+    let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["scalar", "tiled"]);
+    assert_eq!(
+        metric(addr, &["solves", "by_kernel", "tiled", "count"]),
+        1.0
+    );
+
+    let unknown = post(addr, &path, r#"{"k": 3, "kernel": "simd"}"#);
+    assert_eq!(error_kind(&unknown), (400.0, "bad_schema".to_string()));
+    assert!(
+        unknown.body.contains(r#"must be \"scalar\" or \"tiled\""#),
+        "{}",
+        unknown.body
+    );
+
+    handle.shutdown();
+}
+
 #[test]
 fn concurrent_solves_are_bit_identical_to_sequential() {
     let (handle, addr) = start(ServerConfig {

@@ -4,17 +4,15 @@
 //! Weighted assignment compares centers by `d(p, cᵢ) − wᵢ` instead of
 //! raw distance. This suite pins its contract against the plain mode:
 //!
-//! * **w = 0 is bit-identical to plain** — for every kernel (`Scalar`,
-//!   `Blocked`, `Tiled`) and both storage modes (the CI determinism
-//!   matrix re-runs this file with `UKC_TEST_STORAGE=f32`), a weighted
-//!   sweep with all-zero weights produces exactly the plain sweep's
-//!   bits, and an all-certain instance (every spread zero) solves to
-//!   exactly the plain solution;
-//! * weighted `Blocked` and `Tiled` agree with weighted `Scalar` within
-//!   `1e-9` on distances and exactly on argmin indices;
+//! * **w = 0 is bit-identical to plain** — for both kernels (`Scalar`,
+//!   `Tiled`), a weighted sweep with all-zero weights produces exactly
+//!   the plain sweep's bits, and an all-certain instance (every spread
+//!   zero) solves to exactly the plain solution;
+//! * weighted `Tiled` agrees with weighted `Scalar` within `1e-9` on
+//!   distances and exactly on argmin indices;
 //! * switching kernels never changes **which pairs are evaluated**: the
-//!   weighted sweeps report identical pair-evaluation counts across all
-//!   three kernels, equal to the plain sweeps' counts;
+//!   weighted sweeps report identical pair-evaluation counts under both
+//!   kernels, equal to the plain sweeps' counts;
 //! * weighted argmin ties break toward the lowest center index,
 //!   including exact Apollonius ties (`d₁ − w₁ == d₂ − w₂` with
 //!   different distances) and tied centers straddling tile panels;
@@ -49,18 +47,11 @@ fn coords(seed: u64, n: usize, dim: usize) -> Vec<Vec<f64>> {
     (0..n).map(|_| (0..dim).map(|_| rnd()).collect()).collect()
 }
 
-/// Builds a store, additionally enabling the f32 mirror when CI's
-/// determinism matrix sets `UKC_TEST_STORAGE=f32`. Every property in
-/// this file must hold identically either way: plain and weighted
-/// sweeps read the *same* storage, so w = 0 bit-identity is
-/// storage-independent by construction.
+/// A store of `n` pseudo-random rows in the unit box.
 fn store_of(seed: u64, n: usize, dim: usize) -> PointStore {
     let mut store = PointStore::new(dim);
     for row in coords(seed, n, dim) {
         store.try_push(&row).unwrap();
-    }
-    if std::env::var("UKC_TEST_STORAGE").as_deref() == Ok("f32") {
-        store.try_enable_f32().unwrap();
     }
     store
 }
@@ -108,7 +99,7 @@ fn zero_weight_sweeps_are_bit_identical_to_plain() {
 
 /// The weighted sweeps evaluate exactly the same point–center pairs as
 /// the plain sweeps, under every kernel: the pair-evaluation tallies are
-/// identical across all three kernels and equal to the plain tallies.
+/// identical across both kernels and equal to the plain tallies.
 /// Weights must only change arithmetic, never coverage.
 #[test]
 fn weighted_pair_evaluation_counts_are_identical() {
@@ -139,25 +130,17 @@ fn weighted_pair_evaluation_counts_are_identical() {
             "weighted vs plain tally under {kernel:?}"
         );
     }
-    assert_eq!(counts[0], counts[1], "Scalar vs Blocked weighted tally");
-    assert_eq!(counts[0], counts[2], "Scalar vs Tiled weighted tally");
+    assert_eq!(counts[0], counts[1], "Scalar vs Tiled weighted tally");
     assert_eq!(counts[0], 2 * (points.len() as u64) * (k as u64));
 }
 
-/// Weighted `Blocked` and `Tiled` agree with weighted `Scalar` within
-/// `1e-9` on distances and exactly on argmin indices, with nonzero
-/// weights in play. This is an f64-arithmetic contract, so the store is
-/// built without the f32 mirror regardless of the CI storage matrix
-/// (the mirror's documented bound is the looser one pinned in
-/// `kernel_equivalence.rs`); every other test in this file is
-/// storage-independent and runs under both modes.
+/// Weighted `Tiled` agrees with weighted `Scalar` within `1e-9` on
+/// distances and exactly on argmin indices, with nonzero weights in
+/// play.
 #[test]
 fn weighted_factorized_kernels_match_scalar_within_1e9() {
     let (n, dim, k) = (700, 8, 9);
-    let mut store = PointStore::new(dim);
-    for row in coords(37, n, dim) {
-        store.try_push(&row).unwrap();
-    }
+    let store = store_of(37, n, dim);
     let points: Vec<PointId> = (0..n - k).map(PointId).collect();
     let centers: Vec<PointId> = (n - k..n).map(PointId).collect();
     let w = weights_of(5, k);
@@ -166,25 +149,24 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
     scalar.dists_to_centers_min_weighted(&points, &centers, &w, &mut want_min);
     let mut want_nearest = vec![(0usize, 0.0f64); points.len()];
     scalar.nearest_each_weighted(&points, &centers, &w, &mut want_nearest);
-    for kernel in [Kernel::Blocked, Kernel::Tiled] {
-        let oracle = StoreOracle::new(&store, kernel);
-        let mut got_min = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min_weighted(&points, &centers, &w, &mut got_min);
-        for (i, (a, b)) in want_min.iter().zip(&got_min).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                "point {i} under {kernel:?}: {a} vs {b}"
-            );
-        }
-        let mut got_nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each_weighted(&points, &centers, &w, &mut got_nearest);
-        for (i, ((ai, ad), (bi, bd))) in want_nearest.iter().zip(&got_nearest).enumerate() {
-            assert_eq!(ai, bi, "argmin for point {i} under {kernel:?}");
-            assert!(
-                (ad - bd).abs() <= 1e-9 * (1.0 + ad.abs()),
-                "dist for point {i} under {kernel:?}: {ad} vs {bd}"
-            );
-        }
+    let kernel = Kernel::Tiled;
+    let oracle = StoreOracle::new(&store, kernel);
+    let mut got_min = vec![f64::INFINITY; points.len()];
+    oracle.dists_to_centers_min_weighted(&points, &centers, &w, &mut got_min);
+    for (i, (a, b)) in want_min.iter().zip(&got_min).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
+            "point {i} under {kernel:?}: {a} vs {b}"
+        );
+    }
+    let mut got_nearest = vec![(0usize, 0.0f64); points.len()];
+    oracle.nearest_each_weighted(&points, &centers, &w, &mut got_nearest);
+    for (i, ((ai, ad), (bi, bd))) in want_nearest.iter().zip(&got_nearest).enumerate() {
+        assert_eq!(ai, bi, "argmin for point {i} under {kernel:?}");
+        assert!(
+            (ad - bd).abs() <= 1e-9 * (1.0 + ad.abs()),
+            "dist for point {i} under {kernel:?}: {ad} vs {bd}"
+        );
     }
 }
 
@@ -291,7 +273,7 @@ fn weighted_unsupported_combinations_reject_with_typed_errors() {
         let err = Problem::euclidean(set.clone(), 2)
             .unwrap()
             .solve(&cfg(
-                Kernel::Blocked,
+                Kernel::Tiled,
                 AssignmentMode::AdditivelyWeighted,
                 strategy,
             ))
@@ -343,30 +325,29 @@ proptest! {
                 CertainStrategy::Gonzalez,
             ))
             .unwrap();
-        for kernel in [Kernel::Blocked, Kernel::Tiled] {
-            let other = Problem::euclidean(set.clone(), k)
-                .unwrap()
-                .solve(&cfg(
-                    kernel,
-                    AssignmentMode::AdditivelyWeighted,
-                    CertainStrategy::Gonzalez,
-                ))
-                .unwrap();
-            prop_assert_eq!(&scalar.assignment, &other.assignment, "{:?}", kernel);
-            prop_assert!(
-                (scalar.ecost - other.ecost).abs() <= 1e-9 * (1.0 + scalar.ecost),
-                "ecost {} vs {} ({:?})", scalar.ecost, other.ecost, kernel
-            );
-            prop_assert!(
-                (scalar.certain_radius - other.certain_radius).abs()
-                    <= 1e-9 * (1.0 + scalar.certain_radius),
-                "radius {} vs {} ({:?})", scalar.certain_radius, other.certain_radius, kernel
-            );
-            let (s, o) = (scalar.report.distance_evals, other.report.distance_evals);
-            prop_assert_eq!(s.representatives, o.representatives, "{:?}", kernel);
-            prop_assert_eq!(s.certain_solve, o.certain_solve, "{:?}", kernel);
-            prop_assert_eq!(s.assignment, o.assignment, "{:?}", kernel);
-            prop_assert_eq!(s.cost, o.cost, "{:?}", kernel);
-        }
+        let kernel = Kernel::Tiled;
+        let other = Problem::euclidean(set.clone(), k)
+            .unwrap()
+            .solve(&cfg(
+                kernel,
+                AssignmentMode::AdditivelyWeighted,
+                CertainStrategy::Gonzalez,
+            ))
+            .unwrap();
+        prop_assert_eq!(&scalar.assignment, &other.assignment, "{:?}", kernel);
+        prop_assert!(
+            (scalar.ecost - other.ecost).abs() <= 1e-9 * (1.0 + scalar.ecost),
+            "ecost {} vs {} ({:?})", scalar.ecost, other.ecost, kernel
+        );
+        prop_assert!(
+            (scalar.certain_radius - other.certain_radius).abs()
+                <= 1e-9 * (1.0 + scalar.certain_radius),
+            "radius {} vs {} ({:?})", scalar.certain_radius, other.certain_radius, kernel
+        );
+        let (s, o) = (scalar.report.distance_evals, other.report.distance_evals);
+        prop_assert_eq!(s.representatives, o.representatives, "{:?}", kernel);
+        prop_assert_eq!(s.certain_solve, o.certain_solve, "{:?}", kernel);
+        prop_assert_eq!(s.assignment, o.assignment, "{:?}", kernel);
+        prop_assert_eq!(s.cost, o.cost, "{:?}", kernel);
     }
 }
