@@ -66,7 +66,8 @@ use ukc_metric::{
 };
 use ukc_pool::Exec;
 use ukc_uncertain::{
-    ecost_assigned, ecost_assigned_exec, expected_max, expected_point, UncertainPoint, UncertainSet,
+    assigned_atoms, ecost_assigned, ecost_assigned_exec, expected_point, UncertainPoint,
+    UncertainSet,
 };
 
 /// The warm fast path supports exactly the pipeline whose structure it
@@ -272,9 +273,10 @@ fn warm_attempt(
     }
 
     // What a cold EP/Gonzalez solve of this instance spends: n·k for the
-    // greedy sweep, n·k for its radius, n·k for assignment, plus one
-    // evaluation per realization location for the cost stage.
-    let cold_estimate = 3 * (n as u64) * (k as u64) + set.total_locations() as u64;
+    // greedy sweep (its radius comes from the same coverage array), n·k
+    // for assignment, plus one evaluation per realization location for
+    // the cost stage.
+    let cold_estimate = 2 * (n as u64) * (k as u64) + set.total_locations() as u64;
     report.warm = Some(WarmStats {
         reused_centers: k,
         evals_saved: cold_estimate.saturating_sub(counter.count()),
@@ -423,22 +425,10 @@ fn solve_loo_store(
     }
 
     // Shared sweep 2 (one eval per realization location): the cost
-    // variables of the base assignment. A reused variant's exact
-    // expected cost is then a float-only recombination.
-    let mut vars: Vec<Vec<(f64, f64)>> = Vec::with_capacity(n);
-    let mut dists = Vec::new();
-    for (j, up) in set_ids.iter().enumerate() {
-        let center = center_ids[base.assignment[j]];
-        dists.resize(up.z(), 0.0);
-        oracle.dists_to_one(up.locations(), &center, &mut dists[..up.z()]);
-        vars.push(
-            dists[..up.z()]
-                .iter()
-                .copied()
-                .zip(up.probs().iter().copied())
-                .collect(),
-        );
-    }
+    // variables of the base assignment, sorted once. A reused variant's
+    // exact expected cost is then the same fold with its variable
+    // skipped.
+    let atoms = assigned_atoms(&set_ids, &center_ids, &base.assignment, &oracle);
 
     // Fan the variants across the pool, one per lane chunk. Each slot is
     // an independent pure computation over shared read-only state, so
@@ -455,12 +445,9 @@ fn solve_loo_store(
             slot[0] = Some(if is_center[i] {
                 resolve_center_variant(&store, kernel, &set_ids, &rep_ids, k, i)
             } else {
-                let mut reduced: Vec<Vec<(f64, f64)>> = Vec::with_capacity(n - 1);
-                reduced.extend_from_slice(&vars[..i]);
-                reduced.extend_from_slice(&vars[i + 1..]);
                 LooVariant {
                     removed: i,
-                    ecost: expected_max(&reduced),
+                    ecost: atoms.expected_max_without(i),
                     certain_radius: prefix_max[i].max(suffix_max[i + 1]),
                     reused: true,
                     distance_evals: 0,
@@ -564,4 +551,35 @@ fn solve_loo_general(
         resolved_variants: n,
         distance_evals,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ukc_uncertain::generators::{clustered, ProbModel};
+
+    #[test]
+    fn warm_cold_estimate_is_what_a_cold_solve_spends() {
+        // `evals_saved` is the cold estimate less the warm spend, so the
+        // estimate must equal a real cold EP/Gonzalez solve's total, for
+        // an unchanged instance and for an append.
+        let config = SolverConfig::default();
+        let full = clustered(23, 330, 2, 2, 6, 60.0, 0.8, ProbModel::Random);
+        let base = UncertainSet::new(full.points()[..300].to_vec());
+        let prior = Problem::euclidean(base, 6).unwrap().solve(&config).unwrap();
+        let grown = Problem::euclidean(full, 6).unwrap();
+        let cold = grown.solve(&config).unwrap();
+        let again = Solution::warm_start(&grown, &config, &cold).unwrap();
+        let appended = Solution::warm_start(&grown, &config, &prior).unwrap();
+        for warm in [again, appended] {
+            let stats = warm.report.warm.as_ref().unwrap();
+            assert_eq!(stats.fallback, None);
+            assert_eq!(
+                stats.evals_saved + warm.report.distance_evals.total(),
+                cold.report.distance_evals.total()
+            );
+        }
+        // 2·n·k + N: the greedy's k sweeps, the assignment, the cost.
+        assert_eq!(cold.report.distance_evals.total(), 2 * 330 * 6 + 330 * 2);
+    }
 }

@@ -35,8 +35,8 @@ use crate::config::{AssignmentMode, CandidatePolicy, CertainStrategy, SolverConf
 use crate::error::SolveError;
 use crate::report::{CountingMetric, Report};
 use ukc_kcenter::{
-    exact_discrete_kcenter, gonzalez, gonzalez_indices_weighted, grid_kcenter_exec,
-    kcenter_cost_weighted, local_search_kcenter, KCenterSolution,
+    exact_discrete_kcenter, gonzalez, gonzalez_weighted, grid_kcenter_exec, local_search_kcenter,
+    KCenterSolution,
 };
 use ukc_metric::{
     DistCounter, DistanceOracle, Euclidean, Metric, Point, PointId, PointStore, StoreOracle,
@@ -768,16 +768,9 @@ fn solve_continuous_store<P: Clone>(
                 .with_counter(&counter)
                 .with_exec(exec);
             let spreads = expected_spreads_exec(&set_ids, &rep_ids, &oracle, exec);
-            let idx = gonzalez_indices_weighted(&rep_ids, &spreads, k, &oracle, 0);
-            let centers: Vec<PointId> = idx.iter().map(|&i| rep_ids[i]).collect();
-            let weights: Vec<f64> = idx.iter().map(|&i| spreads[i]).collect();
-            let radius = kcenter_cost_weighted(&rep_ids, &centers, &weights, &oracle);
-            center_weights = Some(weights);
-            KCenterSolution {
-                centers,
-                center_indices: idx,
-                radius,
-            }
+            let gz = gonzalez_weighted(&rep_ids, &spreads, k, &oracle, 0);
+            center_weights = Some(gz.center_indices.iter().map(|&i| spreads[i]).collect());
+            gz
         }
         CertainStrategy::Gonzalez => {
             let oracle = StoreOracle::new(&store, kernel)

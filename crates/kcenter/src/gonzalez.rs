@@ -6,8 +6,7 @@
 //! the paper's (1+ε)-parameterized theorems into the concrete factor-6 and
 //! factor-4 table rows.
 
-use crate::kcenter_cost;
-use ukc_metric::DistanceOracle;
+use ukc_metric::{farthest, DistanceOracle};
 
 /// A k-center solution over an explicit point slice.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,6 +19,62 @@ pub struct KCenterSolution<P> {
     pub center_indices: Vec<usize>,
     /// The k-center cost `max_i d(pᵢ, centers)` of this solution.
     pub radius: f64,
+}
+
+/// The greedy loop behind every Gonzalez entry point: chosen indices
+/// (the first is `start`) and the final coverage array, `dist[i]` =
+/// `min_c d(pᵢ, c)` over the chosen centers — less each center's weight
+/// when `weights` are given.
+///
+/// Each round is one [`DistanceOracle::dists_to_set_min_farthest`]
+/// sweep, which tightens the coverage against the newest center and
+/// returns the next farthest point. Plain and weighted keep their own
+/// first sweep (plain writes the distances to `start` outright) and stop
+/// rule (plain stops once the farthest distance is `0`, weighted once it
+/// is `<= 0`: every point inside some center's weighted cell).
+fn gonzalez_loop<P, M: DistanceOracle<P>>(
+    points: &[P],
+    weights: Option<&[f64]>,
+    k: usize,
+    metric: &M,
+    start: usize,
+) -> (Vec<usize>, Vec<f64>) {
+    assert!(!points.is_empty(), "gonzalez requires at least one point");
+    assert!(k > 0, "gonzalez requires k >= 1");
+    assert!(start < points.len(), "start index out of range");
+    if let Some(w) = weights {
+        assert_eq!(points.len(), w.len(), "one weight per point required");
+    }
+    let n = points.len();
+    let k = k.min(n);
+    let weight_of = |i: usize| weights.map(|w| w[i]);
+    let mut centers = Vec::with_capacity(k);
+    centers.push(start);
+    let mut dist = vec![f64::INFINITY; n];
+    let mut far = match weights {
+        None => {
+            metric.dists_to_one(points, &points[start], &mut dist);
+            farthest(&dist)
+        }
+        Some(_) => {
+            metric.dists_to_set_min_farthest(points, &points[start], weight_of(start), &mut dist)
+        }
+    };
+    while centers.len() < k {
+        let (next, next_d) = far.expect("non-empty");
+        let covered = match weights {
+            // Fewer than k distinct points: every point is already a
+            // center.
+            None => next_d == 0.0,
+            Some(_) => next_d <= 0.0,
+        };
+        if covered {
+            break;
+        }
+        centers.push(next);
+        far = metric.dists_to_set_min_farthest(points, &points[next], weight_of(next), &mut dist);
+    }
+    (centers, dist)
 }
 
 /// Runs Gonzalez's greedy algorithm, returning the chosen center *indices*
@@ -35,33 +90,7 @@ pub fn gonzalez_indices<P, M: DistanceOracle<P>>(
     metric: &M,
     start: usize,
 ) -> Vec<usize> {
-    assert!(!points.is_empty(), "gonzalez requires at least one point");
-    assert!(k > 0, "gonzalez requires k >= 1");
-    assert!(start < points.len(), "start index out of range");
-    let n = points.len();
-    let k = k.min(n);
-    let mut centers = Vec::with_capacity(k);
-    centers.push(start);
-    // dist[i] = d(points[i], current centers), maintained by the batched
-    // min-update kernel (one pass per new center).
-    let mut dist = vec![f64::INFINITY; n];
-    metric.dists_to_one(points, &points[start], &mut dist);
-    while centers.len() < k {
-        // Farthest point from the current centers.
-        let (far, far_d) = dist
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("non-empty");
-        if far_d == 0.0 {
-            // Fewer than k distinct points: every point is already a center.
-            break;
-        }
-        centers.push(far);
-        metric.dists_to_set_min(points, &points[far], &mut dist);
-    }
-    centers
+    gonzalez_loop(points, None, k, metric, start).0
 }
 
 /// The additively-weighted (Apollonius) form of [`gonzalez_indices`]:
@@ -85,35 +114,17 @@ pub fn gonzalez_indices_weighted<P, M: DistanceOracle<P>>(
     metric: &M,
     start: usize,
 ) -> Vec<usize> {
-    assert!(!points.is_empty(), "gonzalez requires at least one point");
-    assert!(k > 0, "gonzalez requires k >= 1");
-    assert!(start < points.len(), "start index out of range");
-    assert_eq!(points.len(), weights.len(), "one weight per point required");
-    let n = points.len();
-    let k = k.min(n);
-    let mut centers = Vec::with_capacity(k);
-    centers.push(start);
-    let mut dist = vec![f64::INFINITY; n];
-    metric.dists_to_set_min_weighted(points, &points[start], weights[start], &mut dist);
-    while centers.len() < k {
-        let (far, far_d) = dist
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("non-empty");
-        if far_d <= 0.0 {
-            // Every point already sits inside some center's weighted cell.
-            break;
-        }
-        centers.push(far);
-        metric.dists_to_set_min_weighted(points, &points[far], weights[far], &mut dist);
-    }
-    centers
+    gonzalez_loop(points, Some(weights), k, metric, start).0
 }
 
 /// Runs Gonzalez's greedy algorithm and materializes the full
 /// [`KCenterSolution`] (centers, their indices, and the resulting radius).
+///
+/// The radius is the maximum of the greedy's final coverage array, which
+/// already holds every point's distance to its nearest chosen center —
+/// O(nk) distance evaluations in all, with no second sweep. It equals
+/// [`crate::kcenter_cost`] of the chosen centers whenever that sweep
+/// evaluates pairs with the same kernel arithmetic.
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `start` is out of range.
@@ -123,13 +134,36 @@ pub fn gonzalez<P: Clone, M: DistanceOracle<P>>(
     metric: &M,
     start: usize,
 ) -> KCenterSolution<P> {
-    let idx = gonzalez_indices(points, k, metric, start);
-    let centers: Vec<P> = idx.iter().map(|&i| points[i].clone()).collect();
-    let radius = kcenter_cost(points, &centers, metric);
+    let (idx, coverage) = gonzalez_loop(points, None, k, metric, start);
+    solution(points, idx, &coverage)
+}
+
+/// The additively-weighted form of [`gonzalez`]: the chosen centers, their
+/// indices, and the weighted radius `max_i min_c (d(pᵢ, c) − w_c)`,
+/// clamped below at zero, read off the greedy's final weighted coverage
+/// array — [`crate::kcenter_cost_weighted`] of the chosen centers and
+/// their weights without a second sweep.
+///
+/// # Panics
+/// Panics if `points` is empty, `k == 0`, `start` is out of range, or
+/// `weights` and `points` differ in length.
+pub fn gonzalez_weighted<P: Clone, M: DistanceOracle<P>>(
+    points: &[P],
+    weights: &[f64],
+    k: usize,
+    metric: &M,
+    start: usize,
+) -> KCenterSolution<P> {
+    let (idx, coverage) = gonzalez_loop(points, Some(weights), k, metric, start);
+    solution(points, idx, &coverage)
+}
+
+/// A [`KCenterSolution`] from chosen indices and their coverage array.
+fn solution<P: Clone>(points: &[P], idx: Vec<usize>, coverage: &[f64]) -> KCenterSolution<P> {
     KCenterSolution {
-        centers,
+        centers: idx.iter().map(|&i| points[i].clone()).collect(),
         center_indices: idx,
-        radius,
+        radius: coverage.iter().copied().fold(0.0, f64::max),
     }
 }
 

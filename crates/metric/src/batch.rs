@@ -51,6 +51,7 @@ use crate::DiscreteDistribution;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use ukc_pool::Exec;
 
 /// Rows per parallel chunk. A pure constant — chunk boundaries must
@@ -821,6 +822,32 @@ fn for_each_chunk<T: Send>(
     });
 }
 
+/// Tightens `out[i]` against `center` for each of `rows`, under `kernel`
+/// (already dispatched).
+fn set_min_rows<W: Weight>(
+    store: &PointStore,
+    rows: &[PointId],
+    center: PointId,
+    w: W,
+    kernel: Kernel,
+    out: &mut [f64],
+) {
+    match kernel {
+        Kernel::Scalar => sweep_one(store, rows, center, kernel, |i, d_sq| {
+            let nd = w.weigh(d_sq.sqrt());
+            if nd < out[i] {
+                out[i] = nd;
+            }
+        }),
+        // Compare in squared space and take the square root only on an
+        // actual improvement: in a min-update sweep most pairs do not
+        // tighten the minimum, so most `sqrt`s are skipped.
+        Kernel::Tiled => sweep_one(store, rows, center, kernel, |i, d_sq| {
+            w.tighten(d_sq, &mut out[i]);
+        }),
+    }
+}
+
 /// The running-minimum sweep against one center, dispatched once on the
 /// full sweep and chunked by [`for_each_chunk`].
 fn set_min<W: Weight>(
@@ -834,20 +861,51 @@ fn set_min<W: Weight>(
 ) {
     assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
     let kernel = kernel.dispatch(points.len(), store.dim());
-    for_each_chunk(exec, points, min_dist, |pts, out| match kernel {
-        Kernel::Scalar => sweep_one(store, pts, center, kernel, |i, d_sq| {
-            let nd = w.weigh(d_sq.sqrt());
-            if nd < out[i] {
-                out[i] = nd;
-            }
-        }),
-        // Compare in squared space and take the square root only on an
-        // actual improvement: in a min-update sweep most pairs do not
-        // tighten the minimum, so most `sqrt`s are skipped.
-        Kernel::Tiled => sweep_one(store, pts, center, kernel, |i, d_sq| {
-            w.tighten(d_sq, &mut out[i]);
-        }),
+    for_each_chunk(exec, points, min_dist, |pts, out| {
+        set_min_rows(store, pts, center, w, kernel, out);
     });
+}
+
+/// [`set_min`] fused with the [`crate::farthest`] scan of the tightened
+/// entries. In parallel, each [`PAR_CHUNK`] block tightens its rows and
+/// scans them while they are hot, and the block maxima combine in chunk
+/// order. A block holding a NaN restarts the scan (`max_by` replaces a
+/// running NaN with whatever follows, and a NaN replaces anything), so
+/// the combination is exactly the sequential scan's result.
+fn set_min_farthest<W: Weight>(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    w: W,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    min_dist: &mut [f64],
+) -> Option<(usize, f64)> {
+    assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
+    let kernel = kernel.dispatch(points.len(), store.dim());
+    let min_dist = &mut min_dist[..points.len()];
+    if !exec.is_parallel() || points.len() < PAR_MIN_POINTS {
+        set_min_rows(store, points, center, w, kernel, min_dist);
+        return crate::farthest(min_dist);
+    }
+    let blocks: Vec<Mutex<&mut [f64]>> = min_dist.chunks_mut(PAR_CHUNK).map(Mutex::new).collect();
+    let partials = ukc_pool::map_chunks(exec, points.len(), PAR_CHUNK, |r| {
+        let mut out = blocks[r.start / PAR_CHUNK]
+            .lock()
+            .expect("block slot poisoned");
+        set_min_rows(store, &points[r.clone()], center, w, kernel, &mut out);
+        let best = crate::farthest(&out).map(|(i, d)| (r.start + i, d));
+        (best, out.iter().any(|d| d.is_nan()))
+    });
+    let mut best = None;
+    for (block_best, restarts) in partials {
+        best = match (best, block_best) {
+            (Some(a), Some(b)) if !restarts => Some(crate::later_max(a, b)),
+            (a, None) => a,
+            (_, b) => b,
+        };
+    }
+    best
 }
 
 /// [`nearest_center`] / [`nearest_center_weighted`] after dispatch.
@@ -1145,6 +1203,30 @@ pub fn par_dists_to_set_min_weighted(
     min_dist: &mut [f64],
 ) {
     set_min(store, points, center, w, kernel, exec, min_dist);
+}
+
+/// One Gonzalez round: tightens `min_dist` against `center` — as
+/// [`par_dists_to_set_min`], or [`par_dists_to_set_min_weighted`] when
+/// the center carries a `weight` — and returns the index and value of the
+/// largest tightened entry by [`crate::farthest`]'s rule (the last maximum
+/// wins), or `None` for an empty sweep. In parallel the scan runs inside
+/// each block's sweep; the result is identical for every [`Exec`].
+///
+/// # Panics
+/// Panics when `min_dist` is shorter than `points`.
+pub fn par_dists_to_set_min_farthest(
+    store: &PointStore,
+    points: &[PointId],
+    center: PointId,
+    weight: Option<f64>,
+    kernel: Kernel,
+    exec: Exec<'_>,
+    min_dist: &mut [f64],
+) -> Option<(usize, f64)> {
+    match weight {
+        None => set_min_farthest(store, points, center, NoWeights, kernel, exec, min_dist),
+        Some(w) => set_min_farthest(store, points, center, w, kernel, exec, min_dist),
+    }
 }
 
 /// Index (into `centers`) and distance of the center nearest to `q`,
@@ -2068,6 +2150,123 @@ mod tests {
         for (i, (idx, d)) in each.iter().enumerate() {
             assert!(*idx < 5, "point {i} picked a pad column");
             assert!(d.is_finite() && *d < 0.0, "point {i}");
+        }
+    }
+
+    /// A store on a line: every row at 0 except `far` rows at 100, so the
+    /// coverage maximum against row 0 ties exactly across those rows.
+    fn line_with_far_rows(n: usize, far: &[usize]) -> PointStore {
+        let mut st = PointStore::new(1);
+        for i in 0..n {
+            st.push(&[if far.contains(&i) {
+                100.0
+            } else {
+                (i % 7) as f64
+            }]);
+        }
+        st
+    }
+
+    #[test]
+    fn farthest_ties_across_a_chunk_boundary_pick_the_later_row() {
+        // Rows 100 (block 0) and 3000 (block 1) tie at the maximum; the
+        // fused parallel scan must pick the later one, as `max_by` does.
+        let n = 2 * PAR_MIN_POINTS + 5;
+        let st = line_with_far_rows(n, &[100, 3_000]);
+        let rows = st.ids();
+        let pool = ukc_pool::Pool::new(4);
+        for kernel in Kernel::ALL {
+            for exec in [Exec::sequential(), Exec::pooled(&pool, 4)] {
+                let mut dist = vec![f64::INFINITY; n];
+                let far = par_dists_to_set_min_farthest(
+                    &st,
+                    &rows,
+                    PointId(0),
+                    None,
+                    kernel,
+                    exec,
+                    &mut dist,
+                );
+                assert_eq!(far, Some((3_000, 100.0)), "{kernel:?}");
+                assert_eq!(far, crate::farthest(&dist));
+            }
+        }
+    }
+
+    #[test]
+    fn fused_farthest_matches_the_sweep_then_scan_bitwise() {
+        // Plain and weighted, both kernels, 1 and 4 lanes. Coverage
+        // arrays are seeded with NaNs in some blocks (a NaN restarts the
+        // scan); the last case holds every row at 1e-3 except one far
+        // row in block 0, so only the restart after block 1's NaN keeps
+        // that row from winning, and the 1e-3 rows tie across blocks.
+        let n = 3 * PAR_CHUNK + 77;
+        let st = store(71, n, 8);
+        let rows = st.ids();
+        let pool = ukc_pool::Pool::new(4);
+        let seeded = |base: f64, nans: &[usize], far: &[usize]| {
+            let mut seed = vec![base; n];
+            for &i in nans {
+                seed[i] = f64::NAN;
+            }
+            for &i in far {
+                seed[i] = f64::INFINITY;
+            }
+            seed
+        };
+        let seeds = [
+            seeded(f64::INFINITY, &[], &[]),
+            seeded(f64::INFINITY, &[5], &[]),
+            seeded(f64::INFINITY, &[2_100, 4_500], &[]),
+            seeded(f64::INFINITY, &[n - 1], &[]),
+            seeded(1e-3, &[2_100], &[10]),
+        ];
+        for kernel in Kernel::ALL {
+            for weight in [None, Some(0.0), Some(1.25)] {
+                for (case, seed) in seeds.iter().enumerate() {
+                    let mut want = seed.clone();
+                    match weight {
+                        None => set_min(
+                            &st,
+                            &rows,
+                            PointId(9),
+                            NoWeights,
+                            kernel,
+                            Exec::sequential(),
+                            &mut want,
+                        ),
+                        Some(w) => set_min(
+                            &st,
+                            &rows,
+                            PointId(9),
+                            w,
+                            kernel,
+                            Exec::sequential(),
+                            &mut want,
+                        ),
+                    }
+                    let want_far = crate::farthest(&want);
+                    for exec in [Exec::sequential(), Exec::pooled(&pool, 4)] {
+                        let mut got = seed.clone();
+                        let far = par_dists_to_set_min_farthest(
+                            &st,
+                            &rows,
+                            PointId(9),
+                            weight,
+                            kernel,
+                            exec,
+                            &mut got,
+                        );
+                        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{kernel:?} {weight:?} {case}");
+                        assert_eq!(
+                            far.map(|(i, d)| (i, d.to_bits())),
+                            want_far.map(|(i, d)| (i, d.to_bits())),
+                            "{kernel:?} {weight:?} {case}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -93,6 +93,27 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
     }
 }
 
+/// Index and value of the largest entry of `values` — the farthest point
+/// of a coverage array — or `None` when it is empty. Ties and NaNs
+/// resolve as `max_by(|a, b| a.partial_cmp(b).unwrap_or(Equal))` resolves
+/// them: each entry replaces the running maximum unless that maximum is
+/// strictly greater, so the last maximum wins, and a NaN replaces (and is
+/// replaced by) anything.
+pub fn farthest(values: &[f64]) -> Option<(usize, f64)> {
+    values.iter().copied().enumerate().reduce(later_max)
+}
+
+/// One step of [`farthest`]'s scan: `b` replaces `a` unless `a` is
+/// strictly greater.
+#[inline]
+pub(crate) fn later_max(a: (usize, f64), b: (usize, f64)) -> (usize, f64) {
+    if a.1 > b.1 {
+        a
+    } else {
+        b
+    }
+}
+
 /// A finite probability distribution over locations of type `P` — the
 /// shape [`DistanceOracle::expected_nearest_each`] sweeps (the uncertain
 /// points of `ukc-uncertain` implement it).
@@ -147,6 +168,34 @@ pub trait DistanceOracle<P>: Metric<P> {
                 *d = nd;
             }
         }
+    }
+
+    /// One round of Gonzalez's farthest-point greedy: tightens
+    /// `min_dist` against `center` — [`dists_to_set_min`], or
+    /// [`dists_to_set_min_weighted`] when the center carries a `weight` —
+    /// and returns the index and value of the largest entry of
+    /// `min_dist[..points.len()]` by [`farthest`]'s rule, or `None` when
+    /// `points` is empty. The default is exactly that sweep followed by
+    /// [`farthest`]; overrides may find the maximum inside the sweep but
+    /// must return the same index and value.
+    ///
+    /// [`dists_to_set_min`]: DistanceOracle::dists_to_set_min
+    /// [`dists_to_set_min_weighted`]: DistanceOracle::dists_to_set_min_weighted
+    ///
+    /// # Panics
+    /// Panics when `min_dist` is shorter than `points`.
+    fn dists_to_set_min_farthest(
+        &self,
+        points: &[P],
+        center: &P,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) -> Option<(usize, f64)> {
+        match weight {
+            None => self.dists_to_set_min(points, center, min_dist),
+            Some(w) => self.dists_to_set_min_weighted(points, center, w, min_dist),
+        }
+        farthest(&min_dist[..points.len()])
     }
 
     /// Tightens a running minimum-distance array against a whole center
@@ -369,6 +418,16 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
 
     fn dists_to_centers_min(&self, points: &[P], centers: &[P], min_dist: &mut [f64]) {
         (**self).dists_to_centers_min(points, centers, min_dist)
+    }
+
+    fn dists_to_set_min_farthest(
+        &self,
+        points: &[P],
+        center: &P,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) -> Option<(usize, f64)> {
+        (**self).dists_to_set_min_farthest(points, center, weight, min_dist)
     }
 
     fn nearest_each(&self, queries: &[P], centers: &[P], out: &mut [(usize, f64)]) {

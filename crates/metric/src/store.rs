@@ -311,6 +311,25 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         );
     }
 
+    fn dists_to_set_min_farthest(
+        &self,
+        points: &[PointId],
+        center: &PointId,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) -> Option<(usize, f64)> {
+        self.tally(points.len());
+        batch::par_dists_to_set_min_farthest(
+            self.store,
+            points,
+            *center,
+            weight,
+            self.kernel,
+            self.exec,
+            min_dist,
+        )
+    }
+
     fn dists_to_centers_min(&self, points: &[PointId], centers: &[PointId], min_dist: &mut [f64]) {
         self.tally(points.len() * centers.len());
         batch::par_dists_to_centers_min(

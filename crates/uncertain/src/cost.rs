@@ -7,138 +7,176 @@
 //! and Monte-Carlo versions exist to cross-validate that exactness and to
 //! support the sampling baseline.
 
-use crate::expected_max::{expected_max, expected_max_enumerate};
+use std::ops::Range;
+
+use crate::expected_max::{expected_max_enumerate, SortedAtoms};
 use crate::realization::sample_realization;
 use crate::set::UncertainSet;
 use rand::Rng;
 use ukc_metric::{DistanceOracle, PAR_CHUNK, PAR_MIN_POINTS};
 use ukc_pool::Exec;
 
-/// Builds the per-point distance variables for the *assigned* cost: point
-/// `i`'s variable takes value `d(Pᵢⱼ, centers[assignment[i]])` with
-/// probability `pᵢⱼ`.
+/// The per-point distance variables of a cost, laid out flat: point
+/// `i`'s location `j` sits at `offsets[i] + j`, with its distance in
+/// `values` and its probability in `probs`.
+struct CostVars {
+    values: Vec<f64>,
+    probs: Vec<f64>,
+    offsets: Vec<usize>,
+}
+
+impl CostVars {
+    /// Fills every point's distances through `fill(i, out)`, which writes
+    /// point `i`'s location distances (one per location, in support
+    /// order) into `out`.
+    fn build<P>(set: &UncertainSet<P>, fill: impl Fn(usize, &mut [f64])) -> Self {
+        let mut vars = Self::layout(set);
+        fill_points(0..set.n(), &vars.offsets, &mut vars.values, &fill);
+        vars
+    }
+
+    /// [`CostVars::build`] with an execution context: from
+    /// [`PAR_MIN_POINTS`] points up, [`PAR_CHUNK`]-point blocks run on
+    /// pool lanes, each writing its own contiguous range of the one flat
+    /// buffer. Every distance depends on its own point alone, so the
+    /// buffer is bit-identical for every [`Exec`].
+    fn build_exec<P: Sync>(
+        set: &UncertainSet<P>,
+        exec: Exec<'_>,
+        fill: impl Fn(usize, &mut [f64]) + Sync,
+    ) -> Self {
+        let n = set.n();
+        if !exec.is_parallel() || n < PAR_MIN_POINTS {
+            return Self::build(set, fill);
+        }
+        let mut vars = Self::layout(set);
+        let offsets = &vars.offsets;
+        let mut blocks: Vec<(usize, &mut [f64])> = Vec::with_capacity(n.div_ceil(PAR_CHUNK));
+        let mut rest = vars.values.as_mut_slice();
+        for start in (0..n).step_by(PAR_CHUNK) {
+            let end = (start + PAR_CHUNK).min(n);
+            let (block, tail) = rest.split_at_mut(offsets[end] - offsets[start]);
+            blocks.push((start, block));
+            rest = tail;
+        }
+        ukc_pool::for_each_slice(exec, &mut blocks, 1, |_, block| {
+            let (start, out) = &mut block[0];
+            let points = *start..(*start + PAR_CHUNK).min(n);
+            fill_points(points, offsets, out, &fill);
+        });
+        vars
+    }
+
+    /// The flat layout of `set`: offsets, probabilities copied, distances
+    /// zeroed.
+    fn layout<P>(set: &UncertainSet<P>) -> Self {
+        let total = set.total_locations();
+        let mut probs = Vec::with_capacity(total);
+        let mut offsets = Vec::with_capacity(set.n() + 1);
+        offsets.push(0);
+        for up in set.iter() {
+            probs.extend_from_slice(up.probs());
+            offsets.push(probs.len());
+        }
+        Self {
+            values: vec![0.0; total],
+            probs,
+            offsets,
+        }
+    }
+
+    /// The variables validated and sorted for the `E[max]` fold.
+    ///
+    /// # Panics
+    /// Panics with [`crate::expected_max()`]'s messages on malformed
+    /// variables (e.g. a non-finite distance).
+    fn sorted(self) -> SortedAtoms {
+        SortedAtoms::try_from_flat(self.values, self.probs, &self.offsets)
+            .unwrap_or_else(|e| panic!("expected_max {e}"))
+    }
+
+    /// The variables as per-point atom lists.
+    fn nested(&self) -> Vec<Vec<(f64, f64)>> {
+        self.offsets
+            .windows(2)
+            .map(|r| {
+                let (vs, ps) = (&self.values[r[0]..r[1]], &self.probs[r[0]..r[1]]);
+                vs.iter().copied().zip(ps.iter().copied()).collect()
+            })
+            .collect()
+    }
+}
+
+/// Fills the distances of `points` into `out`, their contiguous flat
+/// range (which starts at `offsets[points.start]`).
+fn fill_points(
+    points: Range<usize>,
+    offsets: &[usize],
+    out: &mut [f64],
+    fill: &impl Fn(usize, &mut [f64]),
+) {
+    let base = offsets[points.start];
+    for i in points {
+        fill(i, &mut out[offsets[i] - base..offsets[i + 1] - base]);
+    }
+}
+
+/// The *assigned* cost's distance fill: point `i`'s variable takes value
+/// `d(Pᵢⱼ, centers[assignment[i]])` with probability `pᵢⱼ`, one batched
+/// sweep per point.
+fn assigned_fill<'a, P, M: DistanceOracle<P>>(
+    set: &'a UncertainSet<P>,
+    centers: &'a [P],
+    assignment: &'a [usize],
+    metric: &'a M,
+) -> impl Fn(usize, &mut [f64]) + 'a {
+    assert_eq!(
+        assignment.len(),
+        set.n(),
+        "assignment must name a center for every point"
+    );
+    move |i, out| {
+        let a = assignment[i];
+        assert!(a < centers.len(), "assignment index out of range");
+        metric.dists_to_one(set[i].locations(), &centers[a], out);
+    }
+}
+
+/// The *unassigned* cost's distance fill: point `i`'s variable takes
+/// value `d(Pᵢⱼ, C) = min_c d(Pᵢⱼ, c)`. Center-major batched sweeps:
+/// identical values and evaluation count (z·k) as the location-major
+/// `dist_to_set` loop — min is order-free.
+fn unassigned_fill<'a, P, M: DistanceOracle<P>>(
+    set: &'a UncertainSet<P>,
+    centers: &'a [P],
+    metric: &'a M,
+) -> impl Fn(usize, &mut [f64]) + 'a {
+    assert!(!centers.is_empty(), "need at least one center");
+    move |i, out| {
+        out.fill(f64::INFINITY);
+        for c in centers {
+            metric.dists_to_set_min(set[i].locations(), c, out);
+        }
+    }
+}
+
+/// The assigned cost's variables as per-point atom lists.
 fn assigned_vars<P, M: DistanceOracle<P>>(
     set: &UncertainSet<P>,
     centers: &[P],
     assignment: &[usize],
     metric: &M,
 ) -> Vec<Vec<(f64, f64)>> {
-    assert_eq!(
-        assignment.len(),
-        set.n(),
-        "assignment must name a center for every point"
-    );
-    let mut dists = vec![0.0f64; set.max_z()];
-    set.iter()
-        .zip(assignment.iter())
-        .map(|(up, &a)| {
-            assert!(a < centers.len(), "assignment index out of range");
-            // One batched sweep per point: distances from every location
-            // to the assigned center, then zip in the probabilities.
-            metric.dists_to_one(up.locations(), &centers[a], &mut dists);
-            dists[..up.z()]
-                .iter()
-                .zip(up.probs().iter())
-                .map(|(&d, &p)| (d, p))
-                .collect()
-        })
-        .collect()
+    CostVars::build(set, assigned_fill(set, centers, assignment, metric)).nested()
 }
 
-/// Builds the per-point distance variables for the *unassigned* cost:
-/// point `i`'s variable takes value `d(Pᵢⱼ, C) = min_c d(Pᵢⱼ, c)`.
+/// The unassigned cost's variables as per-point atom lists.
 fn unassigned_vars<P, M: DistanceOracle<P>>(
     set: &UncertainSet<P>,
     centers: &[P],
     metric: &M,
 ) -> Vec<Vec<(f64, f64)>> {
-    assert!(!centers.is_empty(), "need at least one center");
-    let mut min_dist = vec![0.0f64; set.max_z()];
-    set.iter()
-        .map(|up| {
-            // Center-major batched sweeps: min over centers per location.
-            // Identical values and evaluation count (z·k) as the
-            // location-major `dist_to_set` loop — min is order-free.
-            min_dist[..up.z()].fill(f64::INFINITY);
-            for c in centers {
-                metric.dists_to_set_min(up.locations(), c, &mut min_dist);
-            }
-            min_dist[..up.z()]
-                .iter()
-                .zip(up.probs().iter())
-                .map(|(&d, &p)| (d, p))
-                .collect()
-        })
-        .collect()
-}
-
-/// Parallel [`assigned_vars`]: the per-point distance variables are
-/// independent, so points are built in [`PAR_CHUNK`]-sized blocks on pool
-/// lanes (each with its own scratch buffer). Every variable's arithmetic
-/// is identical to the sequential sweep's, so the vector — and the
-/// [`expected_max`] over it — is bit-identical for every [`Exec`].
-fn assigned_vars_exec<P: Sync, M: DistanceOracle<P> + Sync>(
-    set: &UncertainSet<P>,
-    centers: &[P],
-    assignment: &[usize],
-    metric: &M,
-    exec: Exec<'_>,
-) -> Vec<Vec<(f64, f64)>> {
-    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
-        return assigned_vars(set, centers, assignment, metric);
-    }
-    assert_eq!(
-        assignment.len(),
-        set.n(),
-        "assignment must name a center for every point"
-    );
-    let mut vars: Vec<Vec<(f64, f64)>> = vec![Vec::new(); set.n()];
-    ukc_pool::for_each_slice(exec, &mut vars, PAR_CHUNK, |start, slice| {
-        let mut dists = vec![0.0f64; set.max_z()];
-        for (j, slot) in slice.iter_mut().enumerate() {
-            let up = &set[start + j];
-            let a = assignment[start + j];
-            assert!(a < centers.len(), "assignment index out of range");
-            metric.dists_to_one(up.locations(), &centers[a], &mut dists);
-            *slot = dists[..up.z()]
-                .iter()
-                .zip(up.probs().iter())
-                .map(|(&d, &p)| (d, p))
-                .collect();
-        }
-    });
-    vars
-}
-
-/// Parallel [`unassigned_vars`], block-parallel over points like
-/// [`assigned_vars_exec`].
-fn unassigned_vars_exec<P: Sync, M: DistanceOracle<P> + Sync>(
-    set: &UncertainSet<P>,
-    centers: &[P],
-    metric: &M,
-    exec: Exec<'_>,
-) -> Vec<Vec<(f64, f64)>> {
-    if !exec.is_parallel() || set.n() < PAR_MIN_POINTS {
-        return unassigned_vars(set, centers, metric);
-    }
-    assert!(!centers.is_empty(), "need at least one center");
-    let mut vars: Vec<Vec<(f64, f64)>> = vec![Vec::new(); set.n()];
-    ukc_pool::for_each_slice(exec, &mut vars, PAR_CHUNK, |start, slice| {
-        let mut min_dist = vec![0.0f64; set.max_z()];
-        for (j, slot) in slice.iter_mut().enumerate() {
-            let up = &set[start + j];
-            min_dist[..up.z()].fill(f64::INFINITY);
-            for c in centers {
-                metric.dists_to_set_min(up.locations(), c, &mut min_dist);
-            }
-            *slot = min_dist[..up.z()]
-                .iter()
-                .zip(up.probs().iter())
-                .map(|(&d, &p)| (d, p))
-                .collect();
-        }
-    });
-    vars
+    CostVars::build(set, unassigned_fill(set, centers, metric)).nested()
 }
 
 /// Exact `EcostA(c₁..c_k)` for a fixed assignment:
@@ -149,12 +187,27 @@ pub fn ecost_assigned<P, M: DistanceOracle<P>>(
     assignment: &[usize],
     metric: &M,
 ) -> f64 {
-    expected_max(&assigned_vars(set, centers, assignment, metric))
+    assigned_atoms(set, centers, assignment, metric).expected_max()
 }
 
-/// [`ecost_assigned`] with an execution context: the per-point variable
-/// sweep runs block-parallel on the pool, the `E[max]` fold stays
-/// sequential. Bit-identical to [`ecost_assigned`] for every `exec`.
+/// The assigned cost's per-point distance variables, validated and sorted
+/// once: [`SortedAtoms::expected_max`] is [`ecost_assigned`], and
+/// [`SortedAtoms::expected_max_without`] is the assigned cost of the same
+/// centers and assignment with one point left out — the leave-one-out
+/// recombination.
+pub fn assigned_atoms<P, M: DistanceOracle<P>>(
+    set: &UncertainSet<P>,
+    centers: &[P],
+    assignment: &[usize],
+    metric: &M,
+) -> SortedAtoms {
+    CostVars::build(set, assigned_fill(set, centers, assignment, metric)).sorted()
+}
+
+/// [`ecost_assigned`] with an execution context: the per-point distance
+/// sweep runs block-parallel on the pool into one flat buffer, the
+/// `E[max]` fold stays sequential. Bit-identical to [`ecost_assigned`]
+/// for every `exec`.
 pub fn ecost_assigned_exec<P: Sync, M: DistanceOracle<P> + Sync>(
     set: &UncertainSet<P>,
     centers: &[P],
@@ -162,7 +215,10 @@ pub fn ecost_assigned_exec<P: Sync, M: DistanceOracle<P> + Sync>(
     metric: &M,
     exec: Exec<'_>,
 ) -> f64 {
-    expected_max(&assigned_vars_exec(set, centers, assignment, metric, exec))
+    let fill = assigned_fill(set, centers, assignment, metric);
+    CostVars::build_exec(set, exec, fill)
+        .sorted()
+        .expected_max()
 }
 
 /// Exact unassigned `Ecost(c₁..c_k) = Σ_R prob(R)·max_i d(P̂ᵢ, C)`.
@@ -171,7 +227,9 @@ pub fn ecost_unassigned<P, M: DistanceOracle<P>>(
     centers: &[P],
     metric: &M,
 ) -> f64 {
-    expected_max(&unassigned_vars(set, centers, metric))
+    CostVars::build(set, unassigned_fill(set, centers, metric))
+        .sorted()
+        .expected_max()
 }
 
 /// [`ecost_unassigned`] with an execution context (see
@@ -182,7 +240,9 @@ pub fn ecost_unassigned_exec<P: Sync, M: DistanceOracle<P> + Sync>(
     metric: &M,
     exec: Exec<'_>,
 ) -> f64 {
-    expected_max(&unassigned_vars_exec(set, centers, metric, exec))
+    CostVars::build_exec(set, exec, unassigned_fill(set, centers, metric))
+        .sorted()
+        .expected_max()
 }
 
 /// Assigned cost by full realization enumeration (tests/baselines only).

@@ -17,6 +17,14 @@
 //! each variable has at least one atom at or below the sweep value); log
 //! space both avoids underflow for large `n` and keeps the update drift
 //! additive, and the log-sum is rebuilt from scratch every 4096 updates.
+//!
+//! The sweep runs over [`SortedAtoms`]: the atoms held flat (values,
+//! probabilities, per-variable offsets) and ordered once by a stable LSD
+//! radix sort on a total-order key of the value. That order is exactly
+//! the stable `sort_by(partial_cmp)` order, so the fold — tie grouping,
+//! cached logarithms, rebuilds — is bit-identical to sorting a list of
+//! `(value, variable, prob)` tuples, and one order serves every
+//! leave-one-variable-out fold as well.
 
 /// What is wrong with an atom list handed to [`try_expected_max`] /
 /// [`try_max_cdf`] / [`try_max_quantile`].
@@ -85,25 +93,310 @@ impl std::fmt::Display for AtomsError {
 
 impl std::error::Error for AtomsError {}
 
-/// Validates one variable's atom list, returning its probability sum.
-fn validate_var(index: usize, var: &[(f64, f64)]) -> Result<f64, AtomsError> {
-    if var.is_empty() {
+/// Validates one variable's atoms, returning its probability sum.
+fn validate_var(
+    index: usize,
+    mut atoms: impl ExactSizeIterator<Item = (f64, f64)>,
+) -> Result<f64, AtomsError> {
+    if atoms.len() == 0 {
         return Err(AtomsError::EmptyVariable { index });
     }
-    let mut sum = 0.0;
-    for &(v, p) in var {
+    let sum = atoms.try_fold(0.0, |sum, (v, p)| {
         if !v.is_finite() {
             return Err(AtomsError::NonFiniteValue { index, value: v });
         }
         if !(p >= 0.0 && p.is_finite()) {
             return Err(AtomsError::BadProbability { index, value: p });
         }
-        sum += p;
-    }
+        Ok(sum + p)
+    })?;
     if (sum - 1.0).abs() > 1e-6 {
         return Err(AtomsError::BadSum { index, sum });
     }
     Ok(sum)
+}
+
+/// One radix-sort record: the order key of a positive-probability
+/// atom's value, split in two words so the record packs into 12 bytes,
+/// and the atom's position in the flat buffers.
+#[derive(Clone, Copy, Debug, Default)]
+struct Record {
+    key: [u32; 2],
+    pos: u32,
+}
+
+impl Record {
+    #[inline]
+    fn new(key: u64, pos: usize) -> Self {
+        Self {
+            key: [key as u32, (key >> 32) as u32],
+            pos: pos as u32,
+        }
+    }
+
+    #[inline]
+    fn key(self) -> u64 {
+        u64::from(self.key[1]) << 32 | u64::from(self.key[0])
+    }
+}
+
+/// The total-order key of a finite value: keys ascend with values, and
+/// `-0.0` shares `+0.0`'s key, so two keys are equal exactly when
+/// `partial_cmp` calls the values equal.
+#[inline]
+fn order_key(v: f64) -> u64 {
+    let bits = if v == 0.0 { 0 } else { v.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The value of an [`order_key`], with a `-0.0` read back as `+0.0`.
+#[inline]
+fn key_value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// Stable LSD radix sort of `records` by key: 8-bit digits, low to high,
+/// skipping every digit on which all keys agree. Stability makes the
+/// result exactly the stable comparator order of the keys.
+fn radix_sort(records: &mut Vec<Record>) {
+    let n = records.len();
+    let mut counts = [[0usize; 256]; 8];
+    for r in records.iter() {
+        let key = r.key();
+        for (d, c) in counts.iter_mut().enumerate() {
+            c[(key >> (8 * d)) as usize & 0xff] += 1;
+        }
+    }
+    let mut buf: Vec<Record> = Vec::new();
+    for (d, c) in counts.iter().enumerate() {
+        if c.contains(&n) {
+            continue;
+        }
+        buf.resize(n, Record::default());
+        let mut next = [0usize; 256];
+        let mut at = 0;
+        for (slot, &m) in next.iter_mut().zip(c) {
+            *slot = at;
+            at += m;
+        }
+        for r in records.iter() {
+            let b = (r.key() >> (8 * d)) as usize & 0xff;
+            buf[next[b]] = *r;
+            next[b] += 1;
+        }
+        std::mem::swap(records, &mut buf);
+    }
+}
+
+/// Independent discrete variables, validated and put in sweep order
+/// once: the input of the exact `E[max]` fold.
+///
+/// Construction takes the atoms flat — variable `i` owns
+/// `values[offsets[i]..offsets[i + 1]]` and the parallel `probs` —
+/// orders the positive-probability ones by a stable radix sort of their
+/// values, and keeps them in that order as three parallel arrays (order
+/// key, variable, probability) that the fold reads front to back. The
+/// order is exactly the one a stable `sort_by(partial_cmp)` of the
+/// `(value, variable, prob)` list gives, so [`SortedAtoms::expected_max`]
+/// is bit-identical to sorting that list and sweeping it. The order
+/// restricted to a subset of the variables is that subset's own stable
+/// order, so [`SortedAtoms::expected_max_without`] is bit-identical to
+/// sorting and sweeping the list with one variable removed.
+///
+/// ```
+/// use ukc_uncertain::{expected_max, SortedAtoms};
+/// let vars = vec![vec![(0.0, 0.5), (1.0, 0.5)], vec![(2.0, 1.0)], vec![(0.5, 1.0)]];
+/// let atoms = SortedAtoms::try_new(&vars).unwrap();
+/// assert_eq!(atoms.expected_max().to_bits(), expected_max(&vars).to_bits());
+/// let without = expected_max(&[vars[0].clone(), vars[2].clone()]);
+/// assert_eq!(atoms.expected_max_without(1).to_bits(), without.to_bits());
+/// ```
+#[derive(Clone, Debug)]
+pub struct SortedAtoms {
+    keys: Vec<u64>,
+    var_of: Vec<u32>,
+    probs: Vec<f64>,
+    vars: usize,
+}
+
+impl SortedAtoms {
+    /// Validates and orders `vars[i]`'s `(value, prob)` atoms, reporting
+    /// malformed lists as [`try_expected_max`] does.
+    pub fn try_new(vars: &[Vec<(f64, f64)>]) -> Result<Self, AtomsError> {
+        let total = vars.iter().map(Vec::len).sum();
+        let mut values = Vec::with_capacity(total);
+        let mut probs = Vec::with_capacity(total);
+        let mut offsets = Vec::with_capacity(vars.len() + 1);
+        offsets.push(0);
+        for var in vars {
+            values.extend(var.iter().map(|a| a.0));
+            probs.extend(var.iter().map(|a| a.1));
+            offsets.push(values.len());
+        }
+        Self::try_from_flat(values, probs, &offsets)
+    }
+
+    /// Validates and orders flat atoms: variable `i` takes value
+    /// `values[j]` with probability `probs[j]` for `j` in
+    /// `offsets[i]..offsets[i + 1]`. Malformed variables are reported as
+    /// [`try_expected_max`] does.
+    ///
+    /// # Panics
+    /// Panics when `values` and `probs` differ in length, when `offsets`
+    /// is empty, does not start at 0, decreases, or does not end at
+    /// `values.len()`, or when there are more than `u32::MAX` atoms.
+    pub fn try_from_flat(
+        values: Vec<f64>,
+        probs: Vec<f64>,
+        offsets: &[usize],
+    ) -> Result<Self, AtomsError> {
+        assert_eq!(values.len(), probs.len(), "one probability per value");
+        assert!(
+            offsets.first() == Some(&0) && offsets.last() == Some(&values.len()),
+            "offsets must run from 0 to the atom count"
+        );
+        assert!(
+            u32::try_from(values.len()).is_ok(),
+            "at most u32::MAX atoms"
+        );
+        let vars = offsets.len() - 1;
+        if vars == 0 {
+            return Err(AtomsError::NoVariables);
+        }
+        let mut records = Vec::with_capacity(values.len());
+        let mut var_at = vec![0u32; values.len()];
+        for (i, r) in offsets.windows(2).enumerate() {
+            assert!(r[0] <= r[1], "offsets must not decrease");
+            let (vs, ps) = (&values[r[0]..r[1]], &probs[r[0]..r[1]]);
+            validate_var(i, vs.iter().copied().zip(ps.iter().copied()))?;
+            var_at[r[0]..r[1]].fill(i as u32);
+            for (j, (&v, &p)) in (r[0]..).zip(vs.iter().zip(ps)) {
+                if p > 0.0 {
+                    records.push(Record::new(order_key(v), j));
+                }
+            }
+        }
+        drop(values);
+        radix_sort(&mut records);
+        Ok(Self {
+            keys: records.iter().map(|r| r.key()).collect(),
+            var_of: records.iter().map(|r| var_at[r.pos as usize]).collect(),
+            probs: records.iter().map(|r| probs[r.pos as usize]).collect(),
+            vars,
+        })
+    }
+
+    /// Exact `E[max_i X_i]` over every variable.
+    pub fn expected_max(&self) -> f64 {
+        self.fold(None)
+    }
+
+    /// Exact `E[max_{i ≠ var} X_i]`: the fold with variable `var`'s atoms
+    /// skipped, bit-identical to [`expected_max`] over the list without
+    /// it.
+    ///
+    /// # Panics
+    /// Panics when `var` is out of range or is the only variable.
+    pub fn expected_max_without(&self, var: usize) -> f64 {
+        assert!(var < self.vars, "variable {var} out of range");
+        if self.vars == 1 {
+            panic!("expected_max {}", AtomsError::NoVariables);
+        }
+        self.fold(Some(var))
+    }
+
+    /// The product-CDF sweep over the sorted atoms, passing over `skip`'s
+    /// atoms as if they were absent.
+    ///
+    /// Per-variable running CDF. The product Π Fᵢ(v) underflows f64 for
+    /// large n (e.g. 1000 factors of 0.1), so it is maintained in log
+    /// space: log_product = Σ ln cᵢ over the non-zero CDFs, plus a count
+    /// of the variables whose CDF is still exactly zero. The additive log
+    /// updates drift slowly; a periodic rebuild cancels it. `ln_cdf[i]`
+    /// caches `cdf[i].ln()` for every non-zero CDF, so each update takes
+    /// one `ln` and the rebuild none. A skipped variable's CDF stays 0,
+    /// so the rebuild sums the same terms in the same order as it would
+    /// over the reduced list.
+    fn fold(&self, skip: Option<usize>) -> f64 {
+        let n = self.vars;
+        // Variable indices are below `n <= u32::MAX`, so `u32::MAX` never
+        // names one.
+        let skip = skip.map_or(u32::MAX, |s| s as u32);
+        let (keys, var_of, probs) = (&self.keys, &self.var_of, &self.probs);
+        let mut cdf = vec![0.0f64; n];
+        let mut ln_cdf = vec![0.0f64; n];
+        let mut log_product = 0.0f64;
+        let mut zeros = n - usize::from(skip != u32::MAX);
+        let mut prev_g = 0.0f64;
+        let mut expectation = 0.0f64;
+        let mut updates_since_rebuild = 0usize;
+
+        let mut t = 0;
+        while t < keys.len() {
+            if var_of[t] == skip {
+                t += 1;
+                continue;
+            }
+            let key = keys[t];
+            // A zero value reads back as `+0.0` even where the atom held
+            // `-0.0`; `v` only enters as `v · Δ` added to an expectation
+            // that is never `-0.0`, so the sign of a zero cannot change a
+            // bit of the result.
+            let v = key_value(key);
+            // Apply every atom with this exact value (ties must be grouped
+            // so G jumps once per distinct value).
+            while t < keys.len() && keys[t] == key {
+                let (i, p) = (var_of[t], probs[t]);
+                t += 1;
+                if i == skip {
+                    continue;
+                }
+                let i = i as usize;
+                let old = cdf[i];
+                let new = old + p;
+                let ln_new = new.ln();
+                if old == 0.0 {
+                    zeros -= 1;
+                    log_product += ln_new;
+                } else {
+                    log_product += ln_new - ln_cdf[i];
+                }
+                cdf[i] = new;
+                ln_cdf[i] = ln_new;
+                updates_since_rebuild += 1;
+            }
+            if updates_since_rebuild >= 4096 {
+                // Rebuild the log-sum to cancel additive drift.
+                log_product = cdf
+                    .iter()
+                    .zip(&ln_cdf)
+                    .filter(|&(&c, _)| c > 0.0)
+                    .map(|(_, &l)| l)
+                    .sum();
+                updates_since_rebuild = 0;
+            }
+            let g = if zeros == 0 {
+                log_product.exp().min(1.0)
+            } else {
+                0.0
+            };
+            let delta = g - prev_g;
+            if delta > 0.0 {
+                expectation += v * delta;
+            }
+            prev_g = g;
+        }
+        debug_assert!(zeros == 0, "every variable must reach total probability 1");
+        expectation
+    }
 }
 
 /// Exact `E[max_i X_i]` for independent discrete `X_i`.
@@ -129,82 +422,28 @@ pub fn expected_max(vars: &[Vec<(f64, f64)>]) -> f64 {
 }
 
 /// [`expected_max`] with malformed atom lists reported as a typed
-/// [`AtomsError`] instead of a panic.
+/// [`AtomsError`] instead of a panic: the validating adapter onto
+/// [`SortedAtoms`].
 pub fn try_expected_max(vars: &[Vec<(f64, f64)>]) -> Result<f64, AtomsError> {
-    if vars.is_empty() {
-        return Err(AtomsError::NoVariables);
-    }
-    let n = vars.len();
-    let mut atoms: Vec<(f64, usize, f64)> = Vec::new();
-    for (i, var) in vars.iter().enumerate() {
-        validate_var(i, var)?;
-        for &(v, p) in var {
-            if p > 0.0 {
-                atoms.push((v, i, p));
-            }
-        }
-    }
-    atoms.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("validated finite values"));
+    SortedAtoms::try_new(vars).map(|atoms| atoms.expected_max())
+}
 
-    // Per-variable running CDF. The product Π Fᵢ(v) underflows f64 for
-    // large n (e.g. 1000 factors of 0.1), so it is maintained in log space:
-    // log_product = Σ ln cᵢ over the non-zero CDFs, plus a count of the
-    // variables whose CDF is still exactly zero. The additive log updates
-    // drift slowly; a periodic rebuild cancels it. `ln_cdf[i]` caches
-    // `cdf[i].ln()` for every non-zero CDF, so each update takes one `ln`
-    // and the rebuild none.
-    let mut cdf = vec![0.0f64; n];
-    let mut ln_cdf = vec![0.0f64; n];
-    let mut log_product = 0.0f64;
-    let mut zeros = n;
-    let mut prev_g = 0.0f64;
-    let mut expectation = 0.0f64;
-    let mut updates_since_rebuild = 0usize;
+/// `ln Fᵢ(t)` of one variable, or `None` when `Fᵢ(t) = 0`.
+fn ln_cdf_at(var: &[(f64, f64)], t: f64) -> Option<f64> {
+    let cdf: f64 = var.iter().filter(|(v, _)| *v <= t).map(|(_, p)| p).sum();
+    (cdf > 0.0).then(|| cdf.min(1.0).ln())
+}
 
-    let mut t = 0;
-    while t < atoms.len() {
-        let v = atoms[t].0;
-        // Apply every atom with this exact value (ties must be grouped so
-        // G jumps once per distinct value).
-        while t < atoms.len() && atoms[t].0 == v {
-            let (_, i, p) = atoms[t];
-            let old = cdf[i];
-            let new = old + p;
-            let ln_new = new.ln();
-            if old == 0.0 {
-                zeros -= 1;
-                log_product += ln_new;
-            } else {
-                log_product += ln_new - ln_cdf[i];
-            }
-            cdf[i] = new;
-            ln_cdf[i] = ln_new;
-            updates_since_rebuild += 1;
-            t += 1;
+/// [`try_max_cdf`] over variables already validated.
+fn max_cdf_unchecked(vars: &[Vec<(f64, f64)>], t: f64) -> f64 {
+    let mut log_sum = 0.0f64;
+    for var in vars {
+        match ln_cdf_at(var, t) {
+            Some(l) => log_sum += l,
+            None => return 0.0,
         }
-        if updates_since_rebuild >= 4096 {
-            // Rebuild the log-sum to cancel additive drift.
-            log_product = cdf
-                .iter()
-                .zip(&ln_cdf)
-                .filter(|&(&c, _)| c > 0.0)
-                .map(|(_, &l)| l)
-                .sum();
-            updates_since_rebuild = 0;
-        }
-        let g = if zeros == 0 {
-            log_product.exp().min(1.0)
-        } else {
-            0.0
-        };
-        let delta = g - prev_g;
-        if delta > 0.0 {
-            expectation += v * delta;
-        }
-        prev_g = g;
     }
-    debug_assert!(zeros == 0, "every variable must reach total probability 1");
-    Ok(expectation)
+    log_sum.exp().min(1.0)
 }
 
 /// Exact `Pr[max_i X_i ≤ t]` for independent discrete `X_i`: the product
@@ -228,12 +467,11 @@ pub fn try_max_cdf(vars: &[Vec<(f64, f64)>], t: f64) -> Result<f64, AtomsError> 
     }
     let mut log_sum = 0.0f64;
     for (i, var) in vars.iter().enumerate() {
-        validate_var(i, var)?;
-        let cdf: f64 = var.iter().filter(|(v, _)| *v <= t).map(|(_, p)| p).sum();
-        if cdf <= 0.0 {
-            return Ok(0.0);
+        validate_var(i, var.iter().copied())?;
+        match ln_cdf_at(var, t) {
+            Some(l) => log_sum += l,
+            None => return Ok(0.0),
         }
-        log_sum += cdf.min(1.0).ln();
     }
     Ok(log_sum.exp().min(1.0))
 }
@@ -263,7 +501,7 @@ pub fn try_max_quantile(vars: &[Vec<(f64, f64)>], q: f64) -> Result<f64, AtomsEr
         return Err(AtomsError::NoVariables);
     }
     for (i, var) in vars.iter().enumerate() {
-        validate_var(i, var)?;
+        validate_var(i, var.iter().copied())?;
     }
     let mut values: Vec<f64> = vars
         .iter()
@@ -272,9 +510,9 @@ pub fn try_max_quantile(vars: &[Vec<(f64, f64)>], q: f64) -> Result<f64, AtomsEr
     values.sort_by(|a, b| a.partial_cmp(b).expect("validated finite values"));
     values.dedup();
     // Pr[max <= t] is a step function jumping only at atom values; binary
-    // search the smallest value reaching q. Validation already ran, so the
-    // inner CDF evaluations cannot fail.
-    let cdf_at = |t: f64| try_max_cdf(vars, t).expect("inputs validated above");
+    // search the smallest value reaching q. Validation already ran once,
+    // so the probes skip it.
+    let cdf_at = |t: f64| max_cdf_unchecked(vars, t);
     let mut lo = 0usize;
     let mut hi = values.len() - 1;
     if cdf_at(values[hi]) < q {
@@ -548,6 +786,275 @@ mod tests {
                 uncached.to_bits(),
                 "trial {trial}, n = {n}"
             );
+        }
+    }
+
+    /// The fold as it stood before the flat radix-ordered form: one
+    /// `(value, variable, prob)` tuple per positive atom, ordered by a
+    /// stable comparator sort, swept with cached logarithms. Inputs are
+    /// assumed valid.
+    fn expected_max_comparator_sorted(vars: &[Vec<(f64, f64)>]) -> f64 {
+        let n = vars.len();
+        let mut atoms: Vec<(f64, usize, f64)> = Vec::new();
+        for (i, var) in vars.iter().enumerate() {
+            for &(v, p) in var {
+                if p > 0.0 {
+                    atoms.push((v, i, p));
+                }
+            }
+        }
+        atoms.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let mut cdf = vec![0.0f64; n];
+        let mut ln_cdf = vec![0.0f64; n];
+        let mut log_product = 0.0f64;
+        let mut zeros = n;
+        let mut prev_g = 0.0f64;
+        let mut expectation = 0.0f64;
+        let mut updates_since_rebuild = 0usize;
+        let mut t = 0;
+        while t < atoms.len() {
+            let v = atoms[t].0;
+            while t < atoms.len() && atoms[t].0 == v {
+                let (_, i, p) = atoms[t];
+                let old = cdf[i];
+                let new = old + p;
+                let ln_new = new.ln();
+                if old == 0.0 {
+                    zeros -= 1;
+                    log_product += ln_new;
+                } else {
+                    log_product += ln_new - ln_cdf[i];
+                }
+                cdf[i] = new;
+                ln_cdf[i] = ln_new;
+                updates_since_rebuild += 1;
+                t += 1;
+            }
+            if updates_since_rebuild >= 4096 {
+                log_product = cdf
+                    .iter()
+                    .zip(&ln_cdf)
+                    .filter(|&(&c, _)| c > 0.0)
+                    .map(|(_, &l)| l)
+                    .sum();
+                updates_since_rebuild = 0;
+            }
+            let g = if zeros == 0 {
+                log_product.exp().min(1.0)
+            } else {
+                0.0
+            };
+            let delta = g - prev_g;
+            if delta > 0.0 {
+                expectation += v * delta;
+            }
+            prev_g = g;
+        }
+        expectation
+    }
+
+    /// Values that stress the order key: both zeros, subnormals, the
+    /// extremes, and a coarse grid of negatives and positives (so atoms
+    /// tie within and across variables).
+    fn atom_value(code: usize) -> f64 {
+        const SPECIAL: [f64; 12] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            1e-310,
+            -1e-310,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            f64::MAX / 3.0,
+            1.0,
+            -1.0,
+        ];
+        SPECIAL
+            .get(code)
+            .copied()
+            .unwrap_or_else(|| ((code - SPECIAL.len()) as f64 - 8.0) / 4.0)
+    }
+
+    /// Variables from `(value code, weight)` pairs: weights normalized,
+    /// weight 0 kept as a zero-probability atom.
+    fn vars_from(raw: Vec<Vec<(usize, u32)>>) -> Vec<Vec<(f64, f64)>> {
+        raw.into_iter()
+            .map(|pairs| {
+                let mut total: u32 = pairs.iter().map(|a| a.1).sum();
+                let mut pairs = pairs;
+                if total == 0 {
+                    pairs[0].1 = 1;
+                    total = 1;
+                }
+                pairs
+                    .into_iter()
+                    .map(|(c, w)| (atom_value(c), w as f64 / total as f64))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Checks the radix order against the stable comparator order, and
+    /// the full and leave-one-out folds against the comparator-sorted
+    /// fold, bit for bit.
+    fn check_against_comparator(vars: &[Vec<(f64, f64)>], without: impl Iterator<Item = usize>) {
+        let atoms = SortedAtoms::try_new(vars).unwrap();
+        let mut reference: Vec<(f64, u32, f64)> = Vec::new();
+        for (i, var) in vars.iter().enumerate() {
+            for &(v, p) in var {
+                if p > 0.0 {
+                    reference.push((v, i as u32, p));
+                }
+            }
+        }
+        reference.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let radix: Vec<(u64, u32, u64)> = (0..atoms.keys.len())
+            .map(|t| (atoms.keys[t], atoms.var_of[t], atoms.probs[t].to_bits()))
+            .collect();
+        let stable: Vec<(u64, u32, u64)> = reference
+            .iter()
+            .map(|&(v, i, p)| (order_key(v), i, p.to_bits()))
+            .collect();
+        assert_eq!(radix, stable, "radix order differs from the stable sort");
+        assert_eq!(
+            atoms.expected_max().to_bits(),
+            expected_max_comparator_sorted(vars).to_bits()
+        );
+        for i in without {
+            let mut reduced = vars.to_vec();
+            reduced.remove(i);
+            let want = expected_max_comparator_sorted(&reduced);
+            assert_eq!(
+                atoms.expected_max_without(i).to_bits(),
+                want.to_bits(),
+                "without {i}"
+            );
+            assert_eq!(expected_max(&reduced).to_bits(), want.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn radix_fold_matches_the_comparator_fold(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0usize..40, 0u32..4), 1..=5), 1..=6),
+        ) {
+            let vars = vars_from(raw);
+            let n = vars.len();
+            check_against_comparator(&vars, (0..n).filter(|_| n > 1));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn radix_fold_matches_the_comparator_fold_across_rebuilds(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0usize..400, 1u32..6), 4..=6), 1_000..=1_500),
+        ) {
+            let vars = vars_from(raw);
+            let atoms: usize = vars.iter().map(Vec::len).sum();
+            assert!(atoms > 4096, "rebuilds must run");
+            let n = vars.len();
+            check_against_comparator(&vars, [0, 1, n / 2, n - 1].into_iter());
+        }
+    }
+
+    #[test]
+    fn order_key_is_monotone_and_merges_the_zeros() {
+        let ascending = [
+            -f64::MAX,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+        ];
+        for w in ascending.windows(2) {
+            assert!(order_key(w[0]) < order_key(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        assert_eq!(order_key(-0.0), order_key(0.0));
+        for v in ascending {
+            assert_eq!(key_value(order_key(v)).to_bits(), v.to_bits());
+        }
+        assert_eq!(key_value(order_key(-0.0)).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn leave_one_out_fold_equals_the_reduced_list() {
+        let mut s: u64 = 0xB0B;
+        let mut rnd = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let vars: Vec<Vec<(f64, f64)>> = (0..2_000)
+            .map(|_| {
+                let ps: Vec<f64> = (0..4).map(|_| rnd() + 0.01).collect();
+                let total: f64 = ps.iter().sum();
+                ps.iter()
+                    .map(|&p| ((rnd() * 64.0).floor() / 8.0, p / total))
+                    .collect()
+            })
+            .collect();
+        let atoms = SortedAtoms::try_new(&vars).unwrap();
+        for i in [0, 1, 17, 999, 1_998, 1_999] {
+            let mut reduced = vars.clone();
+            reduced.remove(i);
+            assert_eq!(
+                atoms.expected_max_without(i).to_bits(),
+                expected_max(&reduced).to_bits(),
+                "variant {i}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one variable")]
+    fn leaving_out_the_only_variable_panics() {
+        let atoms = SortedAtoms::try_new(&[vec![(1.0, 1.0)]]).unwrap();
+        let _ = atoms.expected_max_without(0);
+    }
+
+    #[test]
+    fn flat_input_reports_the_same_errors() {
+        let bad = [
+            (vec![], AtomsError::NoVariables),
+            (
+                vec![vec![(1.0, 1.0)], vec![]],
+                AtomsError::EmptyVariable { index: 1 },
+            ),
+            (
+                vec![vec![(1.0, 1.0)], vec![(f64::INFINITY, 1.0)]],
+                AtomsError::NonFiniteValue {
+                    index: 1,
+                    value: f64::INFINITY,
+                },
+            ),
+            (
+                vec![vec![(1.0, -0.5), (2.0, 1.5)]],
+                AtomsError::BadProbability {
+                    index: 0,
+                    value: -0.5,
+                },
+            ),
+            (
+                vec![vec![(1.0, 0.5)]],
+                AtomsError::BadSum { index: 0, sum: 0.5 },
+            ),
+        ];
+        for (vars, err) in bad {
+            assert_eq!(SortedAtoms::try_new(&vars).unwrap_err(), err);
+            assert_eq!(try_expected_max(&vars).unwrap_err(), err);
         }
     }
 

@@ -120,8 +120,9 @@ pub mod prelude {
         uncertain_kmedian_local_search, StreamingKCenter,
     };
     pub use ukc_kcenter::{
-        exact_discrete_kcenter, gonzalez, gonzalez_indices_weighted, grid_kcenter, kcenter_cost,
-        kcenter_cost_weighted, local_search_kcenter, one_d_kcenter, ExactOptions, GridOptions,
+        exact_discrete_kcenter, gonzalez, gonzalez_indices_weighted, gonzalez_weighted,
+        grid_kcenter, kcenter_cost, kcenter_cost_weighted, local_search_kcenter, one_d_kcenter,
+        ExactOptions, GridOptions,
     };
     pub use ukc_metric::{
         Chebyshev, DistCounter, DistanceOracle, Euclidean, FiniteMetric, Kernel, Manhattan, Metric,

@@ -1,7 +1,8 @@
 //! Non-flaky perf smoke: the tiled kernel must not be slower than the
-//! scalar kernel on the fused assignment sweep it was built for, and the
+//! scalar kernel on the fused assignment sweep it was built for, the
 //! batched expected-distance (ED) sweep must not be slower than the
-//! per-pair loop it replaces.
+//! per-pair loop it replaces, and the flat radix-ordered `E[max]` fold
+//! must not be slower than the comparator-sorted fold it replaces.
 //!
 //! `#[ignore]`d because it is only meaningful in release mode; CI runs
 //! it explicitly via
@@ -17,6 +18,7 @@
 
 use std::time::Instant;
 
+use ukc_uncertain::SortedAtoms;
 use uncertain_kcenter::prelude::*;
 
 const N: usize = 10_000;
@@ -184,5 +186,123 @@ fn batched_ed_sweep_is_not_slower_than_the_per_pair_loop() {
     assert!(
         speedup >= 1.0,
         "batched ED sweep regressed below the per-pair loop: {speedup:.2}x"
+    );
+}
+
+/// The `E[max]` fold as it stood before the flat radix-ordered form: one
+/// `(value, variable, prob)` tuple per atom gathered from per-variable
+/// lists, a stable comparator sort, and the cached-log sweep. Inputs are
+/// assumed valid, so it does less work than the validating fold it is
+/// timed against.
+fn expected_max_comparator_sorted(vars: &[Vec<(f64, f64)>]) -> f64 {
+    let n = vars.len();
+    let mut atoms: Vec<(f64, usize, f64)> = Vec::new();
+    for (i, var) in vars.iter().enumerate() {
+        for &(v, p) in var {
+            if p > 0.0 {
+                atoms.push((v, i, p));
+            }
+        }
+    }
+    atoms.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    let mut cdf = vec![0.0f64; n];
+    let mut ln_cdf = vec![0.0f64; n];
+    let mut log_product = 0.0f64;
+    let mut zeros = n;
+    let mut prev_g = 0.0f64;
+    let mut expectation = 0.0f64;
+    let mut updates_since_rebuild = 0usize;
+    let mut t = 0;
+    while t < atoms.len() {
+        let v = atoms[t].0;
+        while t < atoms.len() && atoms[t].0 == v {
+            let (_, i, p) = atoms[t];
+            let old = cdf[i];
+            let new = old + p;
+            let ln_new = new.ln();
+            if old == 0.0 {
+                zeros -= 1;
+                log_product += ln_new;
+            } else {
+                log_product += ln_new - ln_cdf[i];
+            }
+            cdf[i] = new;
+            ln_cdf[i] = ln_new;
+            updates_since_rebuild += 1;
+            t += 1;
+        }
+        if updates_since_rebuild >= 4096 {
+            log_product = cdf
+                .iter()
+                .zip(&ln_cdf)
+                .filter(|&(&c, _)| c > 0.0)
+                .map(|(_, &l)| l)
+                .sum();
+            updates_since_rebuild = 0;
+        }
+        let g = if zeros == 0 {
+            log_product.exp().min(1.0)
+        } else {
+            0.0
+        };
+        let delta = g - prev_g;
+        if delta > 0.0 {
+            expectation += v * delta;
+        }
+        prev_g = g;
+    }
+    expectation
+}
+
+/// The cost stage's `E[max]` at the `solve_assign` shape — 20k variables
+/// of 4 distance-like atoms, 80k atoms — through the flat radix-ordered
+/// fold (validation, order keys, radix sort, sweep) against the
+/// comparator-sorted fold over the same atoms as per-variable lists.
+#[test]
+#[ignore = "perf assertion; run in release mode via CI's perf-smoke step"]
+fn flat_radix_fold_is_not_slower_than_the_comparator_sorted_fold() {
+    const VARS: usize = 20_000;
+    const Z: usize = 4;
+    let mut s: u64 = 4245;
+    let mut rnd = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let vars: Vec<Vec<(f64, f64)>> = (0..VARS)
+        .map(|_| {
+            let ps: Vec<f64> = (0..Z).map(|_| rnd() + 0.05).collect();
+            let total: f64 = ps.iter().sum();
+            ps.iter().map(|&p| (rnd() * 20.0, p / total)).collect()
+        })
+        .collect();
+    let values: Vec<f64> = vars.iter().flatten().map(|a| a.0).collect();
+    let probs: Vec<f64> = vars.iter().flatten().map(|a| a.1).collect();
+    let offsets: Vec<usize> = (0..=VARS).map(|i| i * Z).collect();
+
+    let (mut flat, mut reference) = (f64::INFINITY, f64::INFINITY);
+    let (mut e_flat, mut e_ref) = (0.0, 0.0);
+    for _ in 0..ROUNDS {
+        let (vs, ps) = (values.clone(), probs.clone());
+        let t = Instant::now();
+        e_flat = SortedAtoms::try_from_flat(vs, ps, &offsets)
+            .unwrap()
+            .expected_max();
+        flat = flat.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        e_ref = expected_max_comparator_sorted(&vars);
+        reference = reference.min(t.elapsed().as_secs_f64());
+    }
+    assert_eq!(e_flat.to_bits(), e_ref.to_bits());
+    let speedup = reference / flat;
+    eprintln!(
+        "perf-smoke E[max] atoms={}: comparator-sorted {reference:.6}s, \
+         flat radix {flat:.6}s, speedup {speedup:.2}x",
+        VARS * Z
+    );
+    assert!(
+        speedup >= 1.0,
+        "flat radix fold regressed below the comparator-sorted fold: {speedup:.2}x"
     );
 }
