@@ -18,8 +18,9 @@ use ukc_metric::{DistanceOracle, Point, PAR_CHUNK, PAR_MIN_POINTS};
 use ukc_pool::Exec;
 use ukc_uncertain::{expected_point, UncertainSet};
 
-/// Assignment rules available in Euclidean space (paper Theorems 2.2,
-/// 2.4, 2.5).
+/// The assignment rules. Euclidean space takes all three (paper
+/// Theorems 2.2, 2.4, 2.5); a general metric space takes
+/// `ExpectedDistance` and `OneCenter` (Theorems 2.3, 2.6, 2.7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AssignmentRule {
     /// Assign to the center with the smallest expected distance.
@@ -28,16 +29,6 @@ pub enum AssignmentRule {
     ExpectedPoint,
     /// Assign to the center nearest the 1-center `P̃` (also valid in
     /// Euclidean space; primarily used for the ablation studies).
-    OneCenter,
-}
-
-/// Assignment rules available in a general metric space (paper Theorems
-/// 2.3, 2.6, 2.7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricAssignmentRule {
-    /// Assign to the center with the smallest expected distance.
-    ExpectedDistance,
-    /// Assign to the center nearest the 1-center `P̃`.
     OneCenter,
 }
 
@@ -187,7 +178,7 @@ pub fn assign_oc<P, M: DistanceOracle<P>>(
     // The batched nearest sweep: a pool-backed oracle parallelizes it
     // across representatives with identical output and eval counts.
     let mut nearest = vec![(0usize, 0.0f64); reps.len()];
-    metric.nearest_each(reps, centers, &mut nearest);
+    metric.nearest_each(reps, centers, None, &mut nearest);
     nearest.into_iter().map(|(i, _)| i).collect()
 }
 

@@ -499,10 +499,8 @@ fn finish_pipeline<P: Clone>(
 }
 
 /// The continuous pipeline (paper Theorems 2.2 / 2.4 / 2.5 for
-/// [`EuclideanSpace`]). Shared by [`Problem::solve`] and the deprecated
-/// `solve_euclidean` wrapper — the latter calls it directly, so the two
-/// paths are the same code and bit-identical by construction.
-pub(crate) fn solve_continuous<P: Clone>(
+/// [`EuclideanSpace`]) behind [`Problem::solve`].
+fn solve_continuous<P: Clone>(
     set: &UncertainSet<P>,
     k: usize,
     space: &dyn ContinuousSpace<P>,
@@ -854,12 +852,12 @@ fn solve_continuous_store<P: Clone>(
         // instead, through the same batched sweep shape.
         (AssignmentRule::ExpectedPoint, None) => {
             let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
-            oracle.nearest_each(&rep_ids, &certain.centers, &mut nearest);
+            oracle.nearest_each(&rep_ids, &certain.centers, None, &mut nearest);
             nearest.into_iter().map(|(i, _)| i).collect()
         }
         (AssignmentRule::ExpectedPoint, Some(w)) | (AssignmentRule::OneCenter, Some(w)) => {
             let mut nearest = vec![(0usize, 0.0f64); rep_ids.len()];
-            oracle.nearest_each_weighted(&rep_ids, &certain.centers, w, &mut nearest);
+            oracle.nearest_each(&rep_ids, &certain.centers, Some(w), &mut nearest);
             nearest.into_iter().map(|(i, _)| i).collect()
         }
         (AssignmentRule::OneCenter, None) => {
@@ -915,9 +913,9 @@ fn solve_continuous_store<P: Clone>(
     }))
 }
 
-/// The general-metric pipeline (paper Theorems 2.6 / 2.7). Shared by
-/// [`Problem::solve`] and the deprecated `solve_metric` wrapper.
-pub(crate) fn solve_discrete<P: Clone>(
+/// The general-metric pipeline (paper Theorems 2.6 / 2.7) behind
+/// [`Problem::solve`].
+fn solve_discrete<P: Clone>(
     set: &UncertainSet<P>,
     k: usize,
     metric: &(dyn Metric<P> + '_),
@@ -1080,4 +1078,186 @@ pub fn solve_batch_threads<P: Clone + Send + Sync>(
         .into_iter()
         .map(|slot| slot.expect("the pool executes every chunk exactly once"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ukc_metric::{FiniteMetric, WeightedGraph};
+    use ukc_uncertain::generators::{clustered, on_finite_metric, ProbModel};
+
+    fn config(rule: AssignmentRule, strategy: CertainStrategy) -> SolverConfig {
+        SolverConfig::builder()
+            .rule(rule)
+            .strategy(strategy)
+            .lower_bound(false)
+            .build()
+            .unwrap()
+    }
+
+    fn solve_eu(
+        set: &UncertainSet<Point>,
+        k: usize,
+        rule: AssignmentRule,
+        strategy: CertainStrategy,
+    ) -> Solution<Point> {
+        Problem::euclidean(set.clone(), k)
+            .unwrap()
+            .solve(&config(rule, strategy))
+            .unwrap()
+    }
+
+    fn solve_graph(
+        set: &UncertainSet<usize>,
+        k: usize,
+        rule: AssignmentRule,
+        strategy: CertainStrategy,
+        fm: &FiniteMetric,
+    ) -> Solution<usize> {
+        Problem::in_metric(set.clone(), k, fm.clone(), set.location_pool())
+            .unwrap()
+            .solve(&config(rule, strategy))
+            .unwrap()
+    }
+
+    #[test]
+    fn euclidean_pipeline_produces_k_centers() {
+        let set = clustered(1, 20, 3, 2, 3, 4.0, 0.5, ProbModel::Random);
+        for rule in [
+            AssignmentRule::ExpectedDistance,
+            AssignmentRule::ExpectedPoint,
+            AssignmentRule::OneCenter,
+        ] {
+            let sol = solve_eu(&set, 3, rule, CertainStrategy::Gonzalez);
+            assert_eq!(sol.centers.len(), 3);
+            assert_eq!(sol.assignment.len(), 20);
+            assert!(sol.ecost.is_finite() && sol.ecost >= 0.0);
+            assert_eq!(sol.representatives.len(), 20);
+        }
+    }
+
+    #[test]
+    fn better_certain_solver_never_hurts_certain_radius() {
+        let set = clustered(2, 15, 3, 2, 3, 4.0, 0.5, ProbModel::Uniform);
+        let rule = AssignmentRule::ExpectedPoint;
+        let gz = solve_eu(&set, 3, rule, CertainStrategy::Gonzalez);
+        let ls = solve_eu(
+            &set,
+            3,
+            rule,
+            CertainStrategy::GonzalezLocalSearch { rounds: 50 },
+        );
+        let ex = solve_eu(&set, 3, rule, CertainStrategy::ExactDiscrete);
+        assert!(ls.certain_radius <= gz.certain_radius + 1e-12);
+        assert!(ex.certain_radius <= ls.certain_radius + 1e-12);
+    }
+
+    #[test]
+    fn separated_clusters_get_separated_centers() {
+        // Two clusters 100 apart; any sensible pipeline separates them and
+        // the expected cost is on the cluster scale, not the gap scale.
+        let mk = |base: f64, seed: u64| {
+            let mut pts = Vec::new();
+            let mut s = seed | 1;
+            let mut rnd = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 11) as f64 / (1u64 << 53) as f64
+            };
+            for _ in 0..5 {
+                let nominal = base + rnd() * 2.0;
+                pts.push(
+                    UncertainPoint::new(
+                        vec![Point::scalar(nominal - 0.5), Point::scalar(nominal + 0.5)],
+                        vec![0.5, 0.5],
+                    )
+                    .unwrap(),
+                );
+            }
+            pts
+        };
+        let mut pts = mk(0.0, 3);
+        pts.extend(mk(100.0, 4));
+        let set = UncertainSet::new(pts);
+        let sol = solve_eu(
+            &set,
+            2,
+            AssignmentRule::ExpectedDistance,
+            CertainStrategy::Gonzalez,
+        );
+        assert!(
+            sol.ecost < 10.0,
+            "ecost {} should be cluster-scale",
+            sol.ecost
+        );
+        // Points 0..5 share a center; points 5..10 share the other.
+        assert!(sol.assignment[..5].iter().all(|&a| a == sol.assignment[0]));
+        assert!(sol.assignment[5..].iter().all(|&a| a == sol.assignment[5]));
+        assert_ne!(sol.assignment[0], sol.assignment[5]);
+    }
+
+    #[test]
+    fn metric_pipeline_on_graph() {
+        let fm = WeightedGraph::grid(4, 5, 1.0)
+            .shortest_path_metric()
+            .unwrap();
+        let set = on_finite_metric(7, fm.len(), 8, 3, ProbModel::Random);
+        let pool = set.location_pool();
+        for rule in [AssignmentRule::ExpectedDistance, AssignmentRule::OneCenter] {
+            let sol = solve_graph(&set, 2, rule, CertainStrategy::Gonzalez, &fm);
+            assert_eq!(sol.centers.len(), 2);
+            assert!(sol.ecost.is_finite() && sol.ecost >= 0.0);
+            // Centers drawn from the pool.
+            for c in &sol.centers {
+                assert!(pool.contains(c));
+            }
+        }
+    }
+
+    #[test]
+    fn metric_exact_solver_beats_greedy_certain_radius() {
+        let fm = WeightedGraph::cycle(12, 1.0)
+            .shortest_path_metric()
+            .unwrap();
+        let set = on_finite_metric(5, fm.len(), 6, 2, ProbModel::Uniform);
+        let rule = AssignmentRule::OneCenter;
+        let gz = solve_graph(&set, 2, rule, CertainStrategy::Gonzalez, &fm);
+        let ex = solve_graph(&set, 2, rule, CertainStrategy::ExactDiscrete, &fm);
+        assert!(ex.certain_radius <= gz.certain_radius + 1e-12);
+    }
+
+    #[test]
+    fn certain_points_collapse_to_deterministic_kcenter() {
+        // With certain points the pipeline must equal deterministic
+        // k-center: representatives are the points themselves.
+        let pts: Vec<UncertainPoint<Point>> = [0.0, 1.0, 10.0, 11.0]
+            .iter()
+            .map(|&x| UncertainPoint::certain(Point::scalar(x)))
+            .collect();
+        let set = UncertainSet::new(pts);
+        let sol = solve_eu(
+            &set,
+            2,
+            AssignmentRule::ExpectedPoint,
+            CertainStrategy::ExactDiscrete,
+        );
+        // Optimal deterministic assignment splits {0,1} and {10,11} with
+        // max distance 1 from a chosen location; expected cost equals the
+        // deterministic cost.
+        assert!(sol.ecost <= 1.0 + 1e-9, "ecost {}", sol.ecost);
+    }
+
+    #[test]
+    fn k_one_all_assigned_to_single_center() {
+        let set = clustered(5, 8, 2, 2, 2, 3.0, 0.5, ProbModel::Random);
+        let sol = solve_eu(
+            &set,
+            1,
+            AssignmentRule::ExpectedDistance,
+            CertainStrategy::Gonzalez,
+        );
+        assert_eq!(sol.centers.len(), 1);
+        assert!(sol.assignment.iter().all(|&a| a == 0));
+    }
 }

@@ -25,8 +25,9 @@
 //!   Munteanu–Sohler–Feldman reference \[25\]. Streaming has since been
 //!   promoted to the dedicated `ukc-stream` crate (memory-bounded
 //!   working sets, epoch instrumentation, server + CLI integration);
-//!   the [`streaming::StreamingUncertainKCenter`] kept here is a
-//!   `#[deprecated]`, bit-identical wrapper over that subsystem.
+//!   its `StreamSolver` is the streaming API. The generic
+//!   [`streaming::StreamingKCenter`] kept here is the historical doubling
+//!   summary that crate's `StreamSummary` is pinned against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,5 +43,3 @@ pub use kmedian::{
     ecost_kmedian, uncertain_kmedian_exact, uncertain_kmedian_local_search, KMedianSolution,
 };
 pub use streaming::StreamingKCenter;
-#[allow(deprecated)]
-pub use streaming::StreamingUncertainKCenter;

@@ -9,14 +9,14 @@
 //! seen point is within `4τ` of a kept center. On overflow it doubles `τ`
 //! and merges centers closer than the new `τ`.
 //!
-//! [`StreamingUncertainKCenter`] feeds the O(z)-computable expected points
-//! `P̄` through the summary, extending the paper's replace-by-
-//! representative pipeline to streams (the setting of reference \[25\]):
-//! the certain-solver factor `1+ε` in Theorems 2.2/2.5 simply becomes the
-//! streaming factor 8.
+//! Feeding the summary the O(z)-computable expected points `P̄` extends
+//! the paper's replace-by-representative pipeline to streams (the setting
+//! of reference \[25\]): the certain-solver factor `1+ε` in Theorems
+//! 2.2/2.5 simply becomes the streaming factor 8. `ukc_stream::StreamSolver`
+//! runs that pipeline with a bounded working set; [`StreamingKCenter`] is
+//! the historical generic summary its `StreamSummary` is pinned against.
 
-use ukc_metric::{DistanceOracle, Point};
-use ukc_uncertain::{expected_point, UncertainPoint};
+use ukc_metric::DistanceOracle;
 
 /// One-pass k-center summary with the doubling invariant.
 #[derive(Clone, Debug)]
@@ -107,117 +107,11 @@ impl<P: Clone> StreamingKCenter<P> {
     }
 }
 
-/// Streaming uncertain k-center: expected points through the doubling
-/// summary, with the uncertain points retained for the final assignment
-/// and exact-cost evaluation.
-///
-/// Deprecated in favor of `ukc_stream::StreamSolver`, which keeps the
-/// working set bounded (this type retains every seen point for its
-/// offline finalization), reports per-epoch instrumentation, and is
-/// reachable from the server and CLI. This wrapper now runs on the same
-/// `ukc_stream::StreamSummary` state with a budget of exactly `k`; its
-/// center sequence is bit-identical to the historical implementation
-/// (pinned by the `wrapper_summary_is_bit_identical_to_the_legacy_path`
-/// golden test against the untouched [`StreamingKCenter`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "use ukc_stream::StreamSolver: memory-bounded, instrumented, and served over HTTP"
-)]
-#[derive(Clone, Debug)]
-pub struct StreamingUncertainKCenter {
-    summary: ukc_stream::StreamSummary,
-    seen: Vec<UncertainPoint<Point>>,
-    rule: ukc_core::AssignmentRule,
-}
-
-#[allow(deprecated)]
-impl StreamingUncertainKCenter {
-    /// Creates an empty streaming clusterer for `k` centers, finalizing
-    /// with the expected-distance rule.
-    ///
-    /// # Panics
-    /// Panics when `k == 0` (use [`Self::with_config`] for a typed
-    /// error).
-    pub fn new(k: usize) -> Self {
-        Self {
-            summary: ukc_stream::StreamSummary::new(k),
-            seen: Vec::new(),
-            rule: ukc_core::AssignmentRule::ExpectedDistance,
-        }
-    }
-
-    /// Creates a streaming clusterer whose finalization uses the
-    /// assignment rule of `config`; `k == 0` is a typed error instead of
-    /// a panic.
-    pub fn with_config(
-        k: usize,
-        config: &ukc_core::SolverConfig,
-    ) -> Result<Self, ukc_core::SolveError> {
-        if k == 0 {
-            return Err(ukc_core::SolveError::ZeroK);
-        }
-        Ok(Self {
-            summary: ukc_stream::StreamSummary::new(k),
-            seen: Vec::new(),
-            rule: config.rule(),
-        })
-    }
-
-    /// Processes one arriving uncertain point: O(z + k) — the expected
-    /// point costs O(z), the summary update O(k).
-    pub fn insert(&mut self, up: UncertainPoint<Point>) {
-        let pbar = expected_point(&up);
-        self.summary
-            .insert(pbar.coords())
-            .expect("locations of one instance share a dimension");
-        self.seen.push(up);
-    }
-
-    /// Number of uncertain points processed.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// `true` before the first insertion.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-
-    /// Finalizes: current centers, the configured-rule assignment of every
-    /// seen point (ED unless built via [`Self::with_config`]), and the
-    /// exact expected cost. (Finalization is offline — the stream summary
-    /// itself stays O(k).)
-    pub fn finalize(&self) -> Option<(Vec<Point>, Vec<usize>, f64)> {
-        if self.seen.is_empty() || self.summary.is_empty() {
-            return None;
-        }
-        let set = ukc_uncertain::UncertainSet::new(self.seen.clone());
-        let centers = self.summary.center_points();
-        let metric = ukc_metric::Euclidean;
-        let assignment = match self.rule {
-            ukc_core::AssignmentRule::ExpectedDistance => {
-                ukc_core::assign_ed(&set, &centers, &metric)
-            }
-            ukc_core::AssignmentRule::ExpectedPoint => ukc_core::assign_ep(&set, &centers, &metric),
-            ukc_core::AssignmentRule::OneCenter => {
-                let reps: Vec<Point> = set
-                    .iter()
-                    .map(ukc_uncertain::one_center_euclidean)
-                    .collect();
-                ukc_core::assign_oc(&set, &centers, &reps, &metric)
-            }
-        };
-        let cost = ukc_uncertain::ecost_assigned(&set, &centers, &assignment, &metric);
-        Some((centers, assignment, cost))
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use ukc_kcenter::{exact_discrete_kcenter, kcenter_cost, ExactOptions};
-    use ukc_metric::Euclidean;
+    use ukc_metric::{Euclidean, Point};
     use ukc_uncertain::generators::{clustered, ProbModel};
 
     fn stream_points(seed: u64, n: usize) -> Vec<Point> {
@@ -282,24 +176,29 @@ mod tests {
     #[test]
     fn uncertain_streaming_matches_offline_pipeline_scale() {
         let set = clustered(5, 40, 3, 2, 3, 5.0, 1.0, ProbModel::Random);
-        let mut s = StreamingUncertainKCenter::new(3);
+        let config = ukc_core::SolverConfig::builder()
+            .rule(ukc_core::AssignmentRule::ExpectedDistance)
+            .build()
+            .unwrap();
+        let mut s = ukc_stream::StreamSolver::builder(3)
+            .config(config.clone())
+            .budget(3)
+            .build()
+            .unwrap();
         for up in set.iter() {
-            s.insert(up.clone());
+            s.push(up).unwrap();
         }
         assert_eq!(s.len(), 40);
-        let (centers, assignment, cost) = s.finalize().expect("non-empty");
+        let centers = s.solution().expect("non-empty").centers;
         assert!(centers.len() <= 3);
+        let assignment = ukc_core::assign_ed(&set, &centers, &Euclidean);
         assert_eq!(assignment.len(), 40);
+        let cost = ukc_uncertain::ecost_assigned(&set, &centers, &assignment, &Euclidean);
         // Compare against the offline pipeline: streaming pays a constant
         // factor; on these benign workloads it stays within ~8x.
         let offline = ukc_core::Problem::euclidean(set.clone(), 3)
             .unwrap()
-            .solve(
-                &ukc_core::SolverConfig::builder()
-                    .rule(ukc_core::AssignmentRule::ExpectedDistance)
-                    .build()
-                    .unwrap(),
-            )
+            .solve(&config)
             .unwrap();
         assert!(
             cost <= 8.0 * offline.ecost + 1e-9,
@@ -311,12 +210,11 @@ mod tests {
         assert!(lb <= cost + 1e-9);
     }
 
-    /// The golden equivalence pin for the deprecation: the wrapper now
-    /// runs on `ukc_stream::StreamSummary`, and its kept-center sequence
-    /// must match the untouched generic [`StreamingKCenter`] (the
-    /// historical implementation) bit for bit, on streams that exercise
-    /// absorption, the initial threshold fix, repeated doubling, and
-    /// duplicates.
+    /// The golden equivalence pin of `ukc_stream::StreamSummary` at a
+    /// budget of exactly `k`: its kept-center sequence must match the
+    /// untouched generic [`StreamingKCenter`] (the historical
+    /// implementation) bit for bit, on streams that exercise absorption,
+    /// the initial threshold fix, repeated doubling, and duplicates.
     #[test]
     fn wrapper_summary_is_bit_identical_to_the_legacy_path() {
         for (seed, n, k) in [(1u64, 300usize, 3usize), (2, 500, 5), (9, 64, 2)] {
@@ -341,36 +239,6 @@ mod tests {
                 "seed {seed}"
             );
         }
-    }
-
-    /// The uncertain wrapper end to end: same centers, assignment, and
-    /// cost as driving the legacy summary by hand.
-    #[test]
-    fn wrapper_finalize_matches_the_legacy_pipeline_bit_for_bit() {
-        let set = clustered(8, 60, 3, 2, 4, 6.0, 1.0, ProbModel::Random);
-        let mut wrapper = StreamingUncertainKCenter::new(3);
-        let mut legacy = StreamingKCenter::new(3);
-        for up in set.iter() {
-            wrapper.insert(up.clone());
-            legacy.insert(expected_point(up), &Euclidean);
-        }
-        let (centers, assignment, cost) = wrapper.finalize().expect("non-empty");
-        assert_eq!(centers.len(), legacy.centers().len());
-        for (a, b) in centers.iter().zip(legacy.centers()) {
-            assert_eq!(a.coords(), b.coords());
-        }
-        let expected_assignment = ukc_core::assign_ed(&set, legacy.centers(), &Euclidean);
-        assert_eq!(assignment, expected_assignment);
-        let expected_cost =
-            ukc_uncertain::ecost_assigned(&set, legacy.centers(), &expected_assignment, &Euclidean);
-        assert_eq!(cost.to_bits(), expected_cost.to_bits());
-    }
-
-    #[test]
-    fn empty_stream_finalizes_to_none() {
-        let s = StreamingUncertainKCenter::new(2);
-        assert!(s.is_empty());
-        assert!(s.finalize().is_none());
     }
 
     #[test]

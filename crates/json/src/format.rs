@@ -465,6 +465,10 @@ pub mod cluster {
                     .and_then(Json::as_usize)
                     .ok_or_else(|| schema(&format!("{key:?} must be a non-negative integer")))
             };
+            let prefix = |key: &str| {
+                u32::try_from(uint(key)?)
+                    .map_err(|_| schema(&format!("{key:?} must be below 2^32")))
+            };
             Ok(JsonNode {
                 id: uint("id")?,
                 addr: doc
@@ -472,8 +476,8 @@ pub mod cluster {
                     .and_then(Json::as_str)
                     .ok_or_else(|| schema("\"addr\" must be a string"))?
                     .to_string(),
-                prefix_start: uint("prefix_start")? as u32,
-                prefix_end: uint("prefix_end")? as u32,
+                prefix_start: prefix("prefix_start")?,
+                prefix_end: prefix("prefix_end")?,
                 state: doc
                     .get("state")
                     .and_then(Json::as_str)
@@ -575,6 +579,13 @@ pub mod cluster {
             ));
             assert!(matches!(
                 JsonNode::from_json(&Json::parse(r#"{"id": -1, "addr": "x"}"#).unwrap()),
+                Err(FormatError::Schema(_))
+            ));
+            // A prefix past u32 is rejected, not truncated to 0.
+            let doc = r#"{"id": 0, "addr": "x", "prefix_start": 0,
+                "prefix_end": 4294967296, "state": "up"}"#;
+            assert!(matches!(
+                JsonNode::from_json(&Json::parse(doc).unwrap()),
                 Err(FormatError::Schema(_))
             ));
         }

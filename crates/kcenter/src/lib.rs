@@ -62,7 +62,7 @@ pub fn kcenter_cost<P, M: DistanceOracle<P>>(points: &[P], centers: &[P], metric
         return 0.0;
     }
     let mut min_dist = vec![f64::INFINITY; points.len()];
-    metric.dists_to_centers_min(points, centers, &mut min_dist);
+    metric.dists_to_centers_min(points, centers, None, &mut min_dist);
     min_dist.into_iter().fold(0.0, f64::max)
 }
 
@@ -86,7 +86,7 @@ pub fn kcenter_cost_weighted<P, M: DistanceOracle<P>>(
         return 0.0;
     }
     let mut min_dist = vec![f64::INFINITY; points.len()];
-    metric.dists_to_centers_min_weighted(points, centers, weights, &mut min_dist);
+    metric.dists_to_centers_min(points, centers, Some(weights), &mut min_dist);
     min_dist.into_iter().fold(0.0, f64::max)
 }
 
@@ -111,7 +111,7 @@ pub fn nearest_assignment<P, M: DistanceOracle<P>>(
         "nearest_assignment requires at least one center"
     );
     let mut nearest = vec![(0usize, 0.0f64); points.len()];
-    metric.nearest_each(points, centers, &mut nearest);
+    metric.nearest_each(points, centers, None, &mut nearest);
     nearest.into_iter().map(|(i, _)| i).collect()
 }
 

@@ -908,7 +908,7 @@ fn set_min_farthest<W: Weight>(
     best
 }
 
-/// [`nearest_center`] / [`nearest_center_weighted`] after dispatch.
+/// [`nearest_center`] after dispatch, plain or additively weighted.
 fn nearest_resolved<W: Weights>(
     store: &PointStore,
     centers: &[PointId],
@@ -1146,68 +1146,31 @@ pub fn dists_to_set_min(
 /// bit-identical across every [`Exec`] — this is the Gonzalez inner loop,
 /// and the sweep where intra-solve parallelism pays the most.
 ///
+/// With a `weight` the center is additively weighted (Apollonius):
+/// `min_dist[i] = min(min_dist[i], d(points[i], center) − weight)`, the
+/// inner loop of the weighted Gonzalez sweep. `min_dist` then holds
+/// weighted distances, which may be negative once a weight exceeds a
+/// distance.
+///
 /// # Panics
 /// Panics when `min_dist` is shorter than `points`.
 pub fn par_dists_to_set_min(
     store: &PointStore,
     points: &[PointId],
     center: PointId,
+    weight: Option<f64>,
     kernel: Kernel,
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    set_min(store, points, center, NoWeights, kernel, exec, min_dist);
+    match weight {
+        None => set_min(store, points, center, NoWeights, kernel, exec, min_dist),
+        Some(w) => set_min(store, points, center, w, kernel, exec, min_dist),
+    }
 }
 
-/// Tightens a running *weighted* minimum against a new center carrying
-/// additive weight `w`:
-/// `min_dist[i] = min(min_dist[i], d(points[i], center) − w)` — the
-/// Apollonius form of [`dists_to_set_min`], and the inner loop of the
-/// weighted Gonzalez sweep. `min_dist` holds weighted distances (which
-/// may be negative once a weight exceeds a distance).
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn dists_to_set_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    set_min(
-        store,
-        points,
-        center,
-        w,
-        kernel,
-        Exec::sequential(),
-        min_dist,
-    );
-}
-
-/// Parallel [`dists_to_set_min_weighted`]: block-parallel over
-/// [`PAR_CHUNK`]-row blocks, elementwise like [`par_dists_to_set_min`],
-/// so bit-identical across every [`Exec`].
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`.
-pub fn par_dists_to_set_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    center: PointId,
-    w: f64,
-    kernel: Kernel,
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    set_min(store, points, center, w, kernel, exec, min_dist);
-}
-
-/// One Gonzalez round: tightens `min_dist` against `center` — as
-/// [`par_dists_to_set_min`], or [`par_dists_to_set_min_weighted`] when
-/// the center carries a `weight` — and returns the index and value of the
+/// One Gonzalez round: tightens `min_dist` against `center` as
+/// [`par_dists_to_set_min`] does, and returns the index and value of the
 /// largest tightened entry by [`crate::farthest`]'s rule (the last maximum
 /// wins), or `None` for an empty sweep. In parallel the scan runs inside
 /// each block's sweep; the result is identical for every [`Exec`].
@@ -1262,42 +1225,6 @@ pub fn par_nearest_center(
     nearest(store, centers, NoWeights, q, kernel, exec)
 }
 
-/// Index (into `centers`) and *weighted* distance `d(q, cᵢ) − wᵢ` of the
-/// weighted-nearest center, ties broken toward the lower index; `None`
-/// for an empty center set.
-///
-/// # Panics
-/// Panics when `weights` and `centers` differ in length.
-pub fn nearest_center_weighted(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-) -> Option<(usize, f64)> {
-    let kernel = kernel.dispatch(centers.len(), store.dim());
-    nearest_resolved(store, centers, weights, q, kernel)
-}
-
-/// Parallel [`nearest_center_weighted`] over a large center set:
-/// per-chunk winners fold **in chunk-index order** with a strict `<` on
-/// the weighted distance, preserving first-wins tie-breaking. Chunking
-/// engages purely by size, never by [`Exec`], so `threads = 1` and
-/// `threads = N` agree bit for bit.
-///
-/// # Panics
-/// Panics when `weights` and `centers` differ in length.
-pub fn par_nearest_center_weighted(
-    store: &PointStore,
-    centers: &[PointId],
-    weights: &[f64],
-    q: PointId,
-    kernel: Kernel,
-    exec: Exec<'_>,
-) -> Option<(usize, f64)> {
-    nearest(store, centers, weights, q, kernel, exec)
-}
-
 /// Tightens a running minimum against a whole center set:
 /// `min_dist[i] = min(min_dist[i], min_c d(points[i], centers[c]))` — the
 /// k-center cost sweep, fused across centers.
@@ -1318,7 +1245,15 @@ pub fn dists_to_centers_min(
     kernel: Kernel,
     min_dist: &mut [f64],
 ) {
-    par_dists_to_centers_min(store, points, centers, kernel, Exec::sequential(), min_dist);
+    centers_min(
+        store,
+        points,
+        centers,
+        NoWeights,
+        kernel,
+        Exec::sequential(),
+        min_dist,
+    );
 }
 
 /// Parallel [`dists_to_centers_min`]: the tiled path packs panels once
@@ -1326,67 +1261,29 @@ pub fn dists_to_centers_min(
 /// center loop runs entirely inside one chunk, so results are
 /// bit-identical for every [`Exec`].
 ///
+/// With `weights` the sweep is
+/// `min_dist[i] = min(min_dist[i], min_c d(points[i], c) − w_c)`. Unlike
+/// the plain fused sweep, the weighted tiled path applies the per-center
+/// threshold update in ascending center order inside one streaming pass,
+/// so it is **bit-identical** to `centers.len()` weighted passes of
+/// [`par_dists_to_set_min`] under the same resolved kernel.
+///
 /// # Panics
-/// Panics when `min_dist` is shorter than `points`.
+/// Panics when `min_dist` is shorter than `points`, or when `weights`
+/// and `centers` differ in length.
 pub fn par_dists_to_centers_min(
     store: &PointStore,
     points: &[PointId],
     centers: &[PointId],
+    weights: Option<&[f64]>,
     kernel: Kernel,
     exec: Exec<'_>,
     min_dist: &mut [f64],
 ) {
-    centers_min(store, points, centers, NoWeights, kernel, exec, min_dist);
-}
-
-/// Weighted [`dists_to_centers_min`]:
-/// `min_dist[i] = min(min_dist[i], min_c d(points[i], cᵢ) − wᵢ)`.
-///
-/// Unlike the plain fused sweep, the weighted tiled path applies the
-/// per-center threshold update in ascending center order inside one
-/// streaming pass, so it is **bit-identical** to `centers.len()` passes
-/// of [`dists_to_set_min_weighted`] under the same resolved kernel.
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`, or when `weights`
-/// and `centers` differ in length.
-pub fn dists_to_centers_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    min_dist: &mut [f64],
-) {
-    centers_min(
-        store,
-        points,
-        centers,
-        weights,
-        kernel,
-        Exec::sequential(),
-        min_dist,
-    );
-}
-
-/// Parallel [`dists_to_centers_min_weighted`]: the tiled path packs
-/// panels once and chunks the points; each point's center loop runs
-/// entirely inside one chunk, so results are bit-identical for every
-/// [`Exec`].
-///
-/// # Panics
-/// Panics when `min_dist` is shorter than `points`, or when `weights`
-/// and `centers` differ in length.
-pub fn par_dists_to_centers_min_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    exec: Exec<'_>,
-    min_dist: &mut [f64],
-) {
-    centers_min(store, points, centers, weights, kernel, exec, min_dist);
+    match weights {
+        None => centers_min(store, points, centers, NoWeights, kernel, exec, min_dist),
+        Some(w) => centers_min(store, points, centers, w, kernel, exec, min_dist),
+    }
 }
 
 /// Fills `out[i]` with the index and distance of the center nearest
@@ -1410,72 +1307,42 @@ pub fn nearest_center_each(
     kernel: Kernel,
     out: &mut [(usize, f64)],
 ) {
-    par_nearest_center_each(store, points, centers, kernel, Exec::sequential(), out);
-}
-
-/// Parallel [`nearest_center_each`]: chunks the queries; per-query work
-/// never crosses a chunk, so results are bit-identical for every
-/// [`Exec`].
-///
-/// # Panics
-/// Panics when `out` is shorter than `points`, or when `centers` is empty
-/// while `points` is not.
-pub fn par_nearest_center_each(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    kernel: Kernel,
-    exec: Exec<'_>,
-    out: &mut [(usize, f64)],
-) {
-    nearest_each(store, points, centers, NoWeights, kernel, exec, out);
-}
-
-/// Weighted [`nearest_center_each`]: fills `out[i]` with the index and
-/// weighted distance of the weighted-nearest center of `points[i]`, ties
-/// toward the lower index.
-///
-/// # Panics
-/// Panics when `out` is shorter than `points`, when `weights` and
-/// `centers` differ in length, or when `centers` is empty while `points`
-/// is not.
-pub fn nearest_center_each_weighted(
-    store: &PointStore,
-    points: &[PointId],
-    centers: &[PointId],
-    weights: &[f64],
-    kernel: Kernel,
-    out: &mut [(usize, f64)],
-) {
     nearest_each(
         store,
         points,
         centers,
-        weights,
+        NoWeights,
         kernel,
         Exec::sequential(),
         out,
     );
 }
 
-/// Parallel [`nearest_center_each_weighted`]: chunks the queries;
-/// per-query work never crosses a chunk, so results are bit-identical
-/// for every [`Exec`].
+/// Parallel [`nearest_center_each`]: chunks the queries; per-query work
+/// never crosses a chunk, so results are bit-identical for every
+/// [`Exec`].
+///
+/// With `weights` each query gets the index and *weighted* distance
+/// `d(q, c) − w_c` of its additively weighted nearest center, ties toward
+/// the lower index.
 ///
 /// # Panics
 /// Panics when `out` is shorter than `points`, when `weights` and
 /// `centers` differ in length, or when `centers` is empty while `points`
 /// is not.
-pub fn par_nearest_center_each_weighted(
+pub fn par_nearest_center_each(
     store: &PointStore,
     points: &[PointId],
     centers: &[PointId],
-    weights: &[f64],
+    weights: Option<&[f64]>,
     kernel: Kernel,
     exec: Exec<'_>,
     out: &mut [(usize, f64)],
 ) {
-    nearest_each(store, points, centers, weights, kernel, exec, out);
+    match weights {
+        None => nearest_each(store, points, centers, NoWeights, kernel, exec, out),
+        Some(w) => nearest_each(store, points, centers, w, kernel, exec, out),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1769,7 +1636,7 @@ mod tests {
             let mut par = vec![f64::INFINITY; ids.len()];
             for c in [PointId(0), PointId(999), PointId(4321)] {
                 dists_to_set_min(&s, &ids, c, kernel, &mut seq);
-                par_dists_to_set_min(&s, &ids, c, kernel, exec, &mut par);
+                par_dists_to_set_min(&s, &ids, c, None, kernel, exec, &mut par);
             }
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
@@ -1995,7 +1862,7 @@ mod tests {
             let mut seq = vec![f64::INFINITY; ids.len()];
             dists_to_centers_min(&s, &ids, &centers, kernel, &mut seq);
             let mut par = vec![f64::INFINITY; ids.len()];
-            par_dists_to_centers_min(&s, &ids, &centers, kernel, exec, &mut par);
+            par_dists_to_centers_min(&s, &ids, &centers, None, kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
@@ -2003,7 +1870,7 @@ mod tests {
             let mut seq = vec![(0usize, 0.0f64); ids.len()];
             nearest_center_each(&s, &ids, &centers, kernel, &mut seq);
             let mut par = vec![(0usize, 0.0f64); ids.len()];
-            par_nearest_center_each(&s, &ids, &centers, kernel, exec, &mut par);
+            par_nearest_center_each(&s, &ids, &centers, None, kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.0, b.0, "{kernel:?}");
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "{kernel:?}");
@@ -2022,14 +1889,30 @@ mod tests {
             let mut weighted = vec![f64::INFINITY; ids.len()];
             for c in &centers {
                 dists_to_set_min(&s, &ids, *c, kernel, &mut plain);
-                dists_to_set_min_weighted(&s, &ids, *c, 0.0, kernel, &mut weighted);
+                par_dists_to_set_min(
+                    &s,
+                    &ids,
+                    *c,
+                    Some(0.0),
+                    kernel,
+                    Exec::sequential(),
+                    &mut weighted,
+                );
             }
             for (a, b) in plain.iter().zip(&weighted) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
             for q in [PointId(0), PointId(100), PointId(316)] {
                 let p = nearest_center(&s, &centers, q, kernel).unwrap();
-                let w = nearest_center_weighted(&s, &centers, &zeros, q, kernel).unwrap();
+                let w = nearest(
+                    &s,
+                    &centers,
+                    zeros.as_slice(),
+                    q,
+                    kernel,
+                    Exec::sequential(),
+                )
+                .unwrap();
                 assert_eq!(p.0, w.0, "{kernel:?}");
                 assert_eq!(p.1.to_bits(), w.1.to_bits(), "{kernel:?}");
             }
@@ -2049,17 +1932,39 @@ mod tests {
         let s = PointStore::from_points(&pts);
         let centers = [PointId(0), PointId(1)];
         for kernel in Kernel::ALL {
-            let (idx, d) =
-                nearest_center_weighted(&s, &centers, &[0.0, 0.5], PointId(2), kernel).unwrap();
+            let (idx, d) = nearest(
+                &s,
+                &centers,
+                &[0.0, 0.5][..],
+                PointId(2),
+                kernel,
+                Exec::sequential(),
+            )
+            .unwrap();
             assert_eq!(idx, 1, "{kernel:?}");
             assert!((d - 0.5).abs() < 1e-12, "{kernel:?}");
             // Equal weights keep the tie on the lowest index.
-            let (idx, d) =
-                nearest_center_weighted(&s, &centers, &[0.25, 0.25], PointId(2), kernel).unwrap();
+            let (idx, d) = nearest(
+                &s,
+                &centers,
+                &[0.25, 0.25][..],
+                PointId(2),
+                kernel,
+                Exec::sequential(),
+            )
+            .unwrap();
             assert_eq!(idx, 0, "{kernel:?}");
             assert!((d - 0.75).abs() < 1e-12, "{kernel:?}");
         }
-        assert!(nearest_center_weighted(&s, &[], &[], PointId(2), Kernel::Scalar).is_none());
+        assert!(nearest(
+            &s,
+            &[],
+            &[][..],
+            PointId(2),
+            Kernel::Scalar,
+            Exec::sequential()
+        )
+        .is_none());
     }
 
     #[test]
@@ -2071,18 +1976,50 @@ mod tests {
         for kernel in Kernel::ALL {
             let mut reference = vec![f64::INFINITY; ids.len()];
             for (c, w) in centers.iter().zip(&weights) {
-                dists_to_set_min_weighted(&s, &ids, *c, *w, kernel, &mut reference);
+                par_dists_to_set_min(
+                    &s,
+                    &ids,
+                    *c,
+                    Some(*w),
+                    kernel,
+                    Exec::sequential(),
+                    &mut reference,
+                );
             }
             let mut fused = vec![f64::INFINITY; ids.len()];
-            dists_to_centers_min_weighted(&s, &ids, &centers, &weights, kernel, &mut fused);
+            par_dists_to_centers_min(
+                &s,
+                &ids,
+                &centers,
+                Some(&weights),
+                kernel,
+                Exec::sequential(),
+                &mut fused,
+            );
             for (a, b) in reference.iter().zip(&fused) {
                 assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{kernel:?}");
             }
 
             let mut each = vec![(0usize, 0.0f64); ids.len()];
-            nearest_center_each_weighted(&s, &ids, &centers, &weights, kernel, &mut each);
+            par_nearest_center_each(
+                &s,
+                &ids,
+                &centers,
+                Some(&weights),
+                kernel,
+                Exec::sequential(),
+                &mut each,
+            );
             for (q, got) in ids.iter().zip(&each) {
-                let want = nearest_center_weighted(&s, &centers, &weights, *q, kernel).unwrap();
+                let want = nearest(
+                    &s,
+                    &centers,
+                    weights.as_slice(),
+                    *q,
+                    kernel,
+                    Exec::sequential(),
+                )
+                .unwrap();
                 assert_eq!(got.0, want.0, "{kernel:?}");
                 assert!(
                     (got.1 - want.1).abs() < 1e-9 * (1.0 + want.1.abs()),
@@ -2104,25 +2041,41 @@ mod tests {
             let mut seq = vec![f64::INFINITY; ids.len()];
             let mut par = vec![f64::INFINITY; ids.len()];
             for (c, w) in centers.iter().zip(&weights) {
-                dists_to_set_min_weighted(&s, &ids, *c, *w, kernel, &mut seq);
-                par_dists_to_set_min_weighted(&s, &ids, *c, *w, kernel, exec, &mut par);
+                par_dists_to_set_min(&s, &ids, *c, Some(*w), kernel, Exec::sequential(), &mut seq);
+                par_dists_to_set_min(&s, &ids, *c, Some(*w), kernel, exec, &mut par);
             }
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
 
             let mut seq = vec![f64::INFINITY; ids.len()];
-            dists_to_centers_min_weighted(&s, &ids, &centers, &weights, kernel, &mut seq);
+            par_dists_to_centers_min(
+                &s,
+                &ids,
+                &centers,
+                Some(&weights),
+                kernel,
+                Exec::sequential(),
+                &mut seq,
+            );
             let mut par = vec![f64::INFINITY; ids.len()];
-            par_dists_to_centers_min_weighted(&s, &ids, &centers, &weights, kernel, exec, &mut par);
+            par_dists_to_centers_min(&s, &ids, &centers, Some(&weights), kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
 
             let mut seq = vec![(0usize, 0.0f64); ids.len()];
-            nearest_center_each_weighted(&s, &ids, &centers, &weights, kernel, &mut seq);
+            par_nearest_center_each(
+                &s,
+                &ids,
+                &centers,
+                Some(&weights),
+                kernel,
+                Exec::sequential(),
+                &mut seq,
+            );
             let mut par = vec![(0usize, 0.0f64); ids.len()];
-            par_nearest_center_each_weighted(&s, &ids, &centers, &weights, kernel, exec, &mut par);
+            par_nearest_center_each(&s, &ids, &centers, Some(&weights), kernel, exec, &mut par);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.0, b.0, "{kernel:?}");
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "{kernel:?}");
@@ -2225,26 +2178,15 @@ mod tests {
             for weight in [None, Some(0.0), Some(1.25)] {
                 for (case, seed) in seeds.iter().enumerate() {
                     let mut want = seed.clone();
-                    match weight {
-                        None => set_min(
-                            &st,
-                            &rows,
-                            PointId(9),
-                            NoWeights,
-                            kernel,
-                            Exec::sequential(),
-                            &mut want,
-                        ),
-                        Some(w) => set_min(
-                            &st,
-                            &rows,
-                            PointId(9),
-                            w,
-                            kernel,
-                            Exec::sequential(),
-                            &mut want,
-                        ),
-                    }
+                    par_dists_to_set_min(
+                        &st,
+                        &rows,
+                        PointId(9),
+                        weight,
+                        kernel,
+                        Exec::sequential(),
+                        &mut want,
+                    );
                     let want_far = crate::farthest(&want);
                     for exec in [Exec::sequential(), Exec::pooled(&pool, 4)] {
                         let mut got = seed.clone();

@@ -137,6 +137,12 @@ pub trait DiscreteDistribution<P> {
 /// kernels of [`batch`], which is where the structure-of-arrays layout and
 /// the `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` factorization pay off.
 ///
+/// Each sweep shape is one method. The sweeps that compare against
+/// centers take the centers' additive weights as an `Option`: `None` is
+/// the plain distance `d(p, c)`, `Some` the additively weighted
+/// (Apollonius) distance `d(p, c) − w_c`, of which the plain distance is
+/// the unweighted case.
+///
 /// Contract for implementors: every override must evaluate (and, when
 /// instrumented, count) exactly one distance per point-pair, must break
 /// nearest-center ties toward the lower index, and may only change the
@@ -158,12 +164,24 @@ pub trait DistanceOracle<P>: Metric<P> {
     /// `min_dist[i] = min(min_dist[i], d(points[i], center))` — the
     /// Gonzalez inner loop.
     ///
+    /// With a `weight` the center is additively weighted (Apollonius):
+    /// `min_dist[i] = min(min_dist[i], d(points[i], center) − weight)`.
+    /// `min_dist` then holds *weighted* distances, which may be negative
+    /// once a weight exceeds a distance.
+    ///
     /// # Panics
     /// Panics when `min_dist` is shorter than `points`.
-    fn dists_to_set_min(&self, points: &[P], center: &P, min_dist: &mut [f64]) {
+    fn dists_to_set_min(
+        &self,
+        points: &[P],
+        center: &P,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) {
         assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
         for (p, d) in points.iter().zip(min_dist.iter_mut()) {
             let nd = self.dist(p, center);
+            let nd = weight.map_or(nd, |w| nd - w);
             if nd < *d {
                 *d = nd;
             }
@@ -171,16 +189,14 @@ pub trait DistanceOracle<P>: Metric<P> {
     }
 
     /// One round of Gonzalez's farthest-point greedy: tightens
-    /// `min_dist` against `center` — [`dists_to_set_min`], or
-    /// [`dists_to_set_min_weighted`] when the center carries a `weight` —
-    /// and returns the index and value of the largest entry of
-    /// `min_dist[..points.len()]` by [`farthest`]'s rule, or `None` when
-    /// `points` is empty. The default is exactly that sweep followed by
-    /// [`farthest`]; overrides may find the maximum inside the sweep but
-    /// must return the same index and value.
+    /// `min_dist` against `center` (carrying `weight`, if any) as
+    /// [`dists_to_set_min`] does, and returns the index and value of the
+    /// largest entry of `min_dist[..points.len()]` by [`farthest`]'s rule,
+    /// or `None` when `points` is empty. The default is exactly that sweep
+    /// followed by [`farthest`]; overrides may find the maximum inside the
+    /// sweep but must return the same index and value.
     ///
     /// [`dists_to_set_min`]: DistanceOracle::dists_to_set_min
-    /// [`dists_to_set_min_weighted`]: DistanceOracle::dists_to_set_min_weighted
     ///
     /// # Panics
     /// Panics when `min_dist` is shorter than `points`.
@@ -191,10 +207,7 @@ pub trait DistanceOracle<P>: Metric<P> {
         weight: Option<f64>,
         min_dist: &mut [f64],
     ) -> Option<(usize, f64)> {
-        match weight {
-            None => self.dists_to_set_min(points, center, min_dist),
-            Some(w) => self.dists_to_set_min_weighted(points, center, w, min_dist),
-        }
+        self.dists_to_set_min(points, center, weight, min_dist);
         farthest(&min_dist[..points.len()])
     }
 
@@ -202,35 +215,68 @@ pub trait DistanceOracle<P>: Metric<P> {
     /// set: `min_dist[i] = min(min_dist[i], min_c d(points[i], c))` — the
     /// k-center cost sweep, fused across centers so oracle overrides can
     /// stream each point past all centers at once (the tiled kernel's
-    /// mini-GEMM). The default is exactly one [`dists_to_set_min`] pass
-    /// per center, in order.
+    /// mini-GEMM). With `weights`, center `c` is additively weighted by
+    /// `weights[c]`, as in [`dists_to_set_min`]. The default is exactly
+    /// one [`dists_to_set_min`] pass per center, in ascending center
+    /// order.
     ///
     /// [`dists_to_set_min`]: DistanceOracle::dists_to_set_min
     ///
     /// # Panics
-    /// Panics when `min_dist` is shorter than `points`.
-    fn dists_to_centers_min(&self, points: &[P], centers: &[P], min_dist: &mut [f64]) {
+    /// Panics when `min_dist` is shorter than `points` or `weights` and
+    /// `centers` differ in length.
+    fn dists_to_centers_min(
+        &self,
+        points: &[P],
+        centers: &[P],
+        weights: Option<&[f64]>,
+        min_dist: &mut [f64],
+    ) {
         assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-        for c in centers {
-            self.dists_to_set_min(points, c, min_dist);
+        if let Some(w) = weights {
+            assert_eq!(centers.len(), w.len(), "one weight per center required");
+        }
+        for (c, center) in centers.iter().enumerate() {
+            self.dists_to_set_min(points, center, weights.map(|w| w[c]), min_dist);
         }
     }
 
     /// Fills `out[i]` with the index and distance of the center nearest
     /// `queries[i]` (ties toward the lower index) — the batched form of
-    /// [`Metric::nearest`] behind every assignment sweep. Elementwise per
-    /// query, so overrides may parallelize across queries without
-    /// changing any result.
+    /// [`Metric::nearest`] behind every assignment sweep. With `weights`
+    /// the distance is the additively weighted `d(q, c) − weights[c]`,
+    /// and `out` holds that weighted distance. Elementwise per query, so
+    /// overrides may parallelize across queries without changing any
+    /// result.
     ///
     /// # Panics
-    /// Panics when `out` is shorter than `queries` or `centers` is empty
-    /// while `queries` is not.
-    fn nearest_each(&self, queries: &[P], centers: &[P], out: &mut [(usize, f64)]) {
+    /// Panics when `out` is shorter than `queries`, when `weights` and
+    /// `centers` differ in length, or when `centers` is empty while
+    /// `queries` is not.
+    fn nearest_each(
+        &self,
+        queries: &[P],
+        centers: &[P],
+        weights: Option<&[f64]>,
+        out: &mut [(usize, f64)],
+    ) {
         assert!(out.len() >= queries.len(), "output buffer too small");
         for (q, o) in queries.iter().zip(out.iter_mut()) {
-            *o = self
-                .nearest(q, centers)
-                .expect("nearest_each requires at least one center");
+            let best = match weights {
+                None => self.nearest(q, centers),
+                Some(w) => {
+                    assert_eq!(centers.len(), w.len(), "one weight per center required");
+                    let mut best: Option<(usize, f64)> = None;
+                    for (i, c) in centers.iter().enumerate() {
+                        let d = self.dist(q, c) - w[i];
+                        if best.is_none_or(|(_, bd)| d < bd) {
+                            best = Some((i, d));
+                        }
+                    }
+                    best
+                }
+            };
+            *o = best.expect("nearest_each requires at least one center");
         }
     }
 
@@ -274,107 +320,6 @@ pub trait DistanceOracle<P>: Metric<P> {
             *o = best;
         }
     }
-
-    /// The additively-weighted (Apollonius) form of [`dists_to_set_min`]:
-    /// `min_dist[i] = min(min_dist[i], d(points[i], center) − weight)`.
-    /// `min_dist` holds *weighted* distances, which may be negative once a
-    /// weight exceeds a distance.
-    ///
-    /// [`dists_to_set_min`]: DistanceOracle::dists_to_set_min
-    ///
-    /// # Panics
-    /// Panics when `min_dist` is shorter than `points`.
-    fn dists_to_set_min_weighted(
-        &self,
-        points: &[P],
-        center: &P,
-        weight: f64,
-        min_dist: &mut [f64],
-    ) {
-        assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-        for (p, d) in points.iter().zip(min_dist.iter_mut()) {
-            let nd = self.dist(p, center) - weight;
-            if nd < *d {
-                *d = nd;
-            }
-        }
-    }
-
-    /// Index and *weighted* distance `d(q, cᵢ) − weights[i]` of the
-    /// additively-weighted nearest center, ties toward the lower index;
-    /// `None` for an empty center set.
-    ///
-    /// # Panics
-    /// Panics when `weights` and `centers` differ in length.
-    fn nearest_weighted(&self, q: &P, centers: &[P], weights: &[f64]) -> Option<(usize, f64)> {
-        assert_eq!(
-            centers.len(),
-            weights.len(),
-            "one weight per center required"
-        );
-        let mut best: Option<(usize, f64)> = None;
-        for (i, c) in centers.iter().enumerate() {
-            let d = self.dist(q, c) - weights[i];
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-        }
-        best
-    }
-
-    /// The additively-weighted form of [`dists_to_centers_min`]:
-    /// `min_dist[i] = min(min_dist[i], min_c d(points[i], c) − w_c)`. The
-    /// default is one [`dists_to_set_min_weighted`] pass per center, in
-    /// ascending center order.
-    ///
-    /// [`dists_to_centers_min`]: DistanceOracle::dists_to_centers_min
-    /// [`dists_to_set_min_weighted`]: DistanceOracle::dists_to_set_min_weighted
-    ///
-    /// # Panics
-    /// Panics when `min_dist` is shorter than `points` or `weights` and
-    /// `centers` differ in length.
-    fn dists_to_centers_min_weighted(
-        &self,
-        points: &[P],
-        centers: &[P],
-        weights: &[f64],
-        min_dist: &mut [f64],
-    ) {
-        assert!(min_dist.len() >= points.len(), "min-dist buffer too small");
-        assert_eq!(
-            centers.len(),
-            weights.len(),
-            "one weight per center required"
-        );
-        for (c, w) in centers.iter().zip(weights) {
-            self.dists_to_set_min_weighted(points, c, *w, min_dist);
-        }
-    }
-
-    /// The additively-weighted form of [`nearest_each`]: fills `out[i]`
-    /// with the index and weighted distance of the weighted-nearest
-    /// center of `queries[i]`, ties toward the lower index.
-    ///
-    /// [`nearest_each`]: DistanceOracle::nearest_each
-    ///
-    /// # Panics
-    /// Panics when `out` is shorter than `queries`, when `weights` and
-    /// `centers` differ in length, or when `centers` is empty while
-    /// `queries` is not.
-    fn nearest_each_weighted(
-        &self,
-        queries: &[P],
-        centers: &[P],
-        weights: &[f64],
-        out: &mut [(usize, f64)],
-    ) {
-        assert!(out.len() >= queries.len(), "output buffer too small");
-        for (q, o) in queries.iter().zip(out.iter_mut()) {
-            *o = self
-                .nearest_weighted(q, centers, weights)
-                .expect("nearest_each_weighted requires at least one center");
-        }
-    }
 }
 
 /// The argument checks shared by every
@@ -412,12 +357,14 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
         (**self).dists_to_one(points, q, out)
     }
 
-    fn dists_to_set_min(&self, points: &[P], center: &P, min_dist: &mut [f64]) {
-        (**self).dists_to_set_min(points, center, min_dist)
-    }
-
-    fn dists_to_centers_min(&self, points: &[P], centers: &[P], min_dist: &mut [f64]) {
-        (**self).dists_to_centers_min(points, centers, min_dist)
+    fn dists_to_set_min(
+        &self,
+        points: &[P],
+        center: &P,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) {
+        (**self).dists_to_set_min(points, center, weight, min_dist)
     }
 
     fn dists_to_set_min_farthest(
@@ -430,8 +377,24 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
         (**self).dists_to_set_min_farthest(points, center, weight, min_dist)
     }
 
-    fn nearest_each(&self, queries: &[P], centers: &[P], out: &mut [(usize, f64)]) {
-        (**self).nearest_each(queries, centers, out)
+    fn dists_to_centers_min(
+        &self,
+        points: &[P],
+        centers: &[P],
+        weights: Option<&[f64]>,
+        min_dist: &mut [f64],
+    ) {
+        (**self).dists_to_centers_min(points, centers, weights, min_dist)
+    }
+
+    fn nearest_each(
+        &self,
+        queries: &[P],
+        centers: &[P],
+        weights: Option<&[f64]>,
+        out: &mut [(usize, f64)],
+    ) {
+        (**self).nearest_each(queries, centers, weights, out)
     }
 
     fn expected_nearest_each<S: DiscreteDistribution<P>>(
@@ -442,40 +405,6 @@ impl<P, M: DistanceOracle<P> + ?Sized> DistanceOracle<P> for &M {
         out: &mut [usize],
     ) {
         (**self).expected_nearest_each(points, centers, weights, out)
-    }
-
-    fn dists_to_set_min_weighted(
-        &self,
-        points: &[P],
-        center: &P,
-        weight: f64,
-        min_dist: &mut [f64],
-    ) {
-        (**self).dists_to_set_min_weighted(points, center, weight, min_dist)
-    }
-
-    fn nearest_weighted(&self, q: &P, centers: &[P], weights: &[f64]) -> Option<(usize, f64)> {
-        (**self).nearest_weighted(q, centers, weights)
-    }
-
-    fn dists_to_centers_min_weighted(
-        &self,
-        points: &[P],
-        centers: &[P],
-        weights: &[f64],
-        min_dist: &mut [f64],
-    ) {
-        (**self).dists_to_centers_min_weighted(points, centers, weights, min_dist)
-    }
-
-    fn nearest_each_weighted(
-        &self,
-        queries: &[P],
-        centers: &[P],
-        weights: &[f64],
-        out: &mut [(usize, f64)],
-    ) {
-        (**self).nearest_each_weighted(queries, centers, weights, out)
     }
 }
 

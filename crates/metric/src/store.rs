@@ -299,12 +299,19 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         batch::par_dists_to_one(self.store, points, *q, self.kernel, self.exec, out);
     }
 
-    fn dists_to_set_min(&self, points: &[PointId], center: &PointId, min_dist: &mut [f64]) {
+    fn dists_to_set_min(
+        &self,
+        points: &[PointId],
+        center: &PointId,
+        weight: Option<f64>,
+        min_dist: &mut [f64],
+    ) {
         self.tally(points.len());
         batch::par_dists_to_set_min(
             self.store,
             points,
             *center,
+            weight,
             self.kernel,
             self.exec,
             min_dist,
@@ -330,19 +337,32 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         )
     }
 
-    fn dists_to_centers_min(&self, points: &[PointId], centers: &[PointId], min_dist: &mut [f64]) {
+    fn dists_to_centers_min(
+        &self,
+        points: &[PointId],
+        centers: &[PointId],
+        weights: Option<&[f64]>,
+        min_dist: &mut [f64],
+    ) {
         self.tally(points.len() * centers.len());
         batch::par_dists_to_centers_min(
             self.store,
             points,
             centers,
+            weights,
             self.kernel,
             self.exec,
             min_dist,
         );
     }
 
-    fn nearest_each(&self, queries: &[PointId], centers: &[PointId], out: &mut [(usize, f64)]) {
+    fn nearest_each(
+        &self,
+        queries: &[PointId],
+        centers: &[PointId],
+        weights: Option<&[f64]>,
+        out: &mut [(usize, f64)],
+    ) {
         assert!(out.len() >= queries.len(), "output buffer too small");
         if queries.is_empty() {
             // The trait contract: empty queries are trivially done, even
@@ -350,7 +370,15 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
             return;
         }
         self.tally(queries.len() * centers.len());
-        batch::par_nearest_center_each(self.store, queries, centers, self.kernel, self.exec, out);
+        batch::par_nearest_center_each(
+            self.store,
+            queries,
+            centers,
+            weights,
+            self.kernel,
+            self.exec,
+            out,
+        );
     }
 
     /// One tally of `Σᵢ zᵢ·k` per call, then the sequential
@@ -369,77 +397,6 @@ impl DistanceOracle<PointId> for StoreOracle<'_> {
         let locations: usize = points.iter().map(|up| up.locations().len()).sum();
         batch::expected_nearest_each(self.store, points, centers, weights, self.kernel, out);
         self.tally(locations * centers.len());
-    }
-
-    fn dists_to_set_min_weighted(
-        &self,
-        points: &[PointId],
-        center: &PointId,
-        weight: f64,
-        min_dist: &mut [f64],
-    ) {
-        self.tally(points.len());
-        batch::par_dists_to_set_min_weighted(
-            self.store,
-            points,
-            *center,
-            weight,
-            self.kernel,
-            self.exec,
-            min_dist,
-        );
-    }
-
-    fn nearest_weighted(
-        &self,
-        q: &PointId,
-        centers: &[PointId],
-        weights: &[f64],
-    ) -> Option<(usize, f64)> {
-        self.tally(centers.len());
-        batch::par_nearest_center_weighted(self.store, centers, weights, *q, self.kernel, self.exec)
-    }
-
-    fn dists_to_centers_min_weighted(
-        &self,
-        points: &[PointId],
-        centers: &[PointId],
-        weights: &[f64],
-        min_dist: &mut [f64],
-    ) {
-        self.tally(points.len() * centers.len());
-        batch::par_dists_to_centers_min_weighted(
-            self.store,
-            points,
-            centers,
-            weights,
-            self.kernel,
-            self.exec,
-            min_dist,
-        );
-    }
-
-    fn nearest_each_weighted(
-        &self,
-        queries: &[PointId],
-        centers: &[PointId],
-        weights: &[f64],
-        out: &mut [(usize, f64)],
-    ) {
-        assert!(out.len() >= queries.len(), "output buffer too small");
-        if queries.is_empty() {
-            return;
-        }
-        self.tally(queries.len() * centers.len());
-        batch::par_nearest_center_each_weighted(
-            self.store,
-            queries,
-            centers,
-            weights,
-            self.kernel,
-            self.exec,
-            out,
-        );
     }
 }
 
@@ -541,11 +498,12 @@ mod tests {
         let oracle = StoreOracle::new(&store, Kernel::Tiled);
         // Empty queries are trivially done, even with no centers — the
         // documented trait contract.
-        oracle.nearest_each(&[], &[], &mut []);
+        oracle.nearest_each(&[], &[], None, &mut []);
         let mut out = [(0usize, 0.0f64); 2];
         oracle.nearest_each(
             &[PointId(0), PointId(1)],
             &[PointId(2), PointId(3)],
+            None,
             &mut out,
         );
         assert!(out.iter().all(|&(i, d)| i < 2 && d.is_finite()));
@@ -581,18 +539,18 @@ mod tests {
             let oracle = StoreOracle::new(&store, kernel).with_counter(&counter);
             let mut out = vec![0.0; ids.len()];
             oracle.dists_to_one(&ids, &PointId(0), &mut out);
-            oracle.dists_to_set_min(&ids, &PointId(3), &mut out);
-            oracle.dists_to_centers_min(&ids, &ids[..3], &mut out);
+            oracle.dists_to_set_min(&ids, &PointId(3), None, &mut out);
+            oracle.dists_to_centers_min(&ids, &ids[..3], None, &mut out);
             let mut nearest = vec![(0usize, 0.0f64); ids.len()];
-            oracle.nearest_each(&ids, &ids[..2], &mut nearest);
+            oracle.nearest_each(&ids, &ids[..2], None, &mut nearest);
             let _ = oracle.nearest(&PointId(2), &ids[..4]);
             let _ = oracle.dist(&PointId(0), &PointId(1));
             // Weighted sweeps count exactly like their plain siblings:
             // one evaluation per point-pair, kernel-independent.
-            oracle.dists_to_set_min_weighted(&ids, &PointId(3), 0.5, &mut out);
-            oracle.dists_to_centers_min_weighted(&ids, &ids[..3], &[0.1, 0.2, 0.3], &mut out);
-            oracle.nearest_each_weighted(&ids, &ids[..2], &[0.1, 0.2], &mut nearest);
-            let _ = oracle.nearest_weighted(&PointId(2), &ids[..4], &[0.0; 4]);
+            oracle.dists_to_set_min(&ids, &PointId(3), Some(0.5), &mut out);
+            oracle.dists_to_centers_min(&ids, &ids[..3], Some(&[0.1, 0.2, 0.3]), &mut out);
+            oracle.nearest_each(&ids, &ids[..2], Some(&[0.1, 0.2]), &mut nearest);
+            oracle.nearest_each(&[PointId(2)], &ids[..4], Some(&[0.0; 4]), &mut nearest[..1]);
             counts.push(counter.count());
         }
         for c in &counts[1..] {

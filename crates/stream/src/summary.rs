@@ -94,9 +94,9 @@ pub struct SummarySnapshot {
 ///
 /// The summary is the *state* layer of the streaming subsystem:
 /// [`crate::StreamSolver`] feeds it expected points and finalizes it
-/// into solutions; the deprecated
-/// `ukc_extensions::StreamingUncertainKCenter` wraps it with a budget of
-/// exactly `k`, reproducing the historical center sequence bit for bit.
+/// into solutions. At a budget of exactly `k` it reproduces the center
+/// sequence of the historical `ukc_extensions::StreamingKCenter` bit for
+/// bit.
 #[derive(Debug)]
 pub struct StreamSummary {
     budget: usize,

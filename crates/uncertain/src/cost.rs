@@ -155,7 +155,7 @@ fn unassigned_fill<'a, P, M: DistanceOracle<P>>(
     move |i, out| {
         out.fill(f64::INFINITY);
         for c in centers {
-            metric.dists_to_set_min(set[i].locations(), c, out);
+            metric.dists_to_set_min(set[i].locations(), c, None, out);
         }
     }
 }

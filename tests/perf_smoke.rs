@@ -51,7 +51,7 @@ fn best_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        oracle.nearest_each(&queries, &centers, &mut out);
+        oracle.nearest_each(&queries, &centers, None, &mut out);
         best = best.min(t.elapsed().as_secs_f64());
     }
     // Keep the result observable so the sweep cannot be optimized out.
@@ -60,7 +60,7 @@ fn best_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
 }
 
 /// Best-of-N seconds for one full additively-weighted
-/// (`nearest_each_weighted`) assignment sweep.
+/// (`nearest_each` with weights) assignment sweep.
 fn best_weighted_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
     let queries = store.ids();
     let centers: Vec<PointId> = (0..K).map(|i| PointId(i * (N / K))).collect();
@@ -70,7 +70,7 @@ fn best_weighted_sweep_secs(store: &PointStore, kernel: Kernel) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        oracle.nearest_each_weighted(&queries, &centers, &weights, &mut out);
+        oracle.nearest_each(&queries, &centers, Some(&weights), &mut out);
         best = best.min(t.elapsed().as_secs_f64());
     }
     assert!(out.iter().all(|(i, d)| *i < K && d.is_finite()));

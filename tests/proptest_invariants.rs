@@ -32,6 +32,14 @@ fn uncertain_point_2d() -> impl Strategy<Value = UncertainPoint<Point>> {
     )
 }
 
+/// Index and Apollonius value `d(q, cᵢ) − wᵢ` of the additively
+/// weighted nearest center of `q`.
+fn weighted_nearest(q: &Point, centers: &[Point], weights: &[f64]) -> (usize, f64) {
+    let mut out = [(0usize, 0.0f64)];
+    Euclidean.nearest_each(std::slice::from_ref(q), centers, Some(weights), &mut out);
+    out[0]
+}
+
 fn uncertain_set_2d(
     n: std::ops::RangeInclusive<usize>,
 ) -> impl Strategy<Value = UncertainSet<Point>> {
@@ -208,7 +216,7 @@ proptest! {
         let q = Point::new(vec![qx, qy]);
         let pts: Vec<Point> = centers.iter().map(|((x, y), _)| Point::new(vec![*x, *y])).collect();
         let w: Vec<f64> = centers.iter().map(|(_, w)| *w).collect();
-        let (idx, val) = Euclidean.nearest_weighted(&q, &pts, &w).unwrap();
+        let (idx, val) = weighted_nearest(&q, &pts, &w);
         // Guard: skip knife-edge ties (runner-up within 1e-9).
         let runner_up = pts.iter().zip(&w).enumerate()
             .filter(|(i, _)| *i != idx)
@@ -216,7 +224,7 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         if runner_up - val > 1e-9 {
             let shifted: Vec<f64> = w.iter().map(|wi| wi + c).collect();
-            let (idx2, val2) = Euclidean.nearest_weighted(&q, &pts, &shifted).unwrap();
+            let (idx2, val2) = weighted_nearest(&q, &pts, &shifted);
             prop_assert_eq!(idx, idx2);
             prop_assert!((val2 - (val - c)).abs() <= 1e-9 * (1.0 + val.abs() + c));
         }
@@ -237,10 +245,10 @@ proptest! {
         let q = Point::new(vec![qx, qy]);
         let pts: Vec<Point> = centers.iter().map(|((x, y), _)| Point::new(vec![*x, *y])).collect();
         let w: Vec<f64> = centers.iter().map(|(_, w)| *w).collect();
-        let (idx, _) = Euclidean.nearest_weighted(&q, &pts, &w).unwrap();
+        let (idx, _) = weighted_nearest(&q, &pts, &w);
         let mut raised = w.clone();
         raised[idx] += delta;
-        let (idx2, _) = Euclidean.nearest_weighted(&q, &pts, &raised).unwrap();
+        let (idx2, _) = weighted_nearest(&q, &pts, &raised);
         prop_assert_eq!(idx, idx2);
     }
 

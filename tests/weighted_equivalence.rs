@@ -76,16 +76,16 @@ fn zero_weight_sweeps_are_bit_identical_to_plain() {
         let oracle = StoreOracle::new(&store, kernel);
         let mut plain = vec![f64::INFINITY; points.len()];
         let mut weighted = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min(&points, &centers, &mut plain);
-        oracle.dists_to_centers_min_weighted(&points, &centers, &zeros, &mut weighted);
+        oracle.dists_to_centers_min(&points, &centers, None, &mut plain);
+        oracle.dists_to_centers_min(&points, &centers, Some(&zeros), &mut weighted);
         for (i, (p, w)) in plain.iter().zip(&weighted).enumerate() {
             assert_eq!(p.to_bits(), w.to_bits(), "point {i} under {kernel:?}");
         }
 
         let mut plain_nearest = vec![(0usize, 0.0f64); points.len()];
         let mut weighted_nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each(&points, &centers, &mut plain_nearest);
-        oracle.nearest_each_weighted(&points, &centers, &zeros, &mut weighted_nearest);
+        oracle.nearest_each(&points, &centers, None, &mut plain_nearest);
+        oracle.nearest_each(&points, &centers, Some(&zeros), &mut weighted_nearest);
         for (i, ((pi, pd), (wi, wd))) in plain_nearest.iter().zip(&weighted_nearest).enumerate() {
             assert_eq!(pi, wi, "argmin for point {i} under {kernel:?}");
             assert_eq!(
@@ -113,17 +113,17 @@ fn weighted_pair_evaluation_counts_are_identical() {
         let counter = DistCounter::new();
         let oracle = StoreOracle::new(&store, kernel).with_counter(&counter);
         let mut min = vec![f64::INFINITY; points.len()];
-        oracle.dists_to_centers_min_weighted(&points, &centers, &w, &mut min);
+        oracle.dists_to_centers_min(&points, &centers, Some(&w), &mut min);
         let mut nearest = vec![(0usize, 0.0f64); points.len()];
-        oracle.nearest_each_weighted(&points, &centers, &w, &mut nearest);
+        oracle.nearest_each(&points, &centers, Some(&w), &mut nearest);
         counts.push(counter.count());
 
         let plain_counter = DistCounter::new();
         let plain_oracle = StoreOracle::new(&store, kernel).with_counter(&plain_counter);
         let mut plain_min = vec![f64::INFINITY; points.len()];
-        plain_oracle.dists_to_centers_min(&points, &centers, &mut plain_min);
+        plain_oracle.dists_to_centers_min(&points, &centers, None, &mut plain_min);
         let mut plain_nearest = vec![(0usize, 0.0f64); points.len()];
-        plain_oracle.nearest_each(&points, &centers, &mut plain_nearest);
+        plain_oracle.nearest_each(&points, &centers, None, &mut plain_nearest);
         assert_eq!(
             counter.count(),
             plain_counter.count(),
@@ -146,13 +146,13 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
     let w = weights_of(5, k);
     let scalar = StoreOracle::new(&store, Kernel::Scalar);
     let mut want_min = vec![f64::INFINITY; points.len()];
-    scalar.dists_to_centers_min_weighted(&points, &centers, &w, &mut want_min);
+    scalar.dists_to_centers_min(&points, &centers, Some(&w), &mut want_min);
     let mut want_nearest = vec![(0usize, 0.0f64); points.len()];
-    scalar.nearest_each_weighted(&points, &centers, &w, &mut want_nearest);
+    scalar.nearest_each(&points, &centers, Some(&w), &mut want_nearest);
     let kernel = Kernel::Tiled;
     let oracle = StoreOracle::new(&store, kernel);
     let mut got_min = vec![f64::INFINITY; points.len()];
-    oracle.dists_to_centers_min_weighted(&points, &centers, &w, &mut got_min);
+    oracle.dists_to_centers_min(&points, &centers, Some(&w), &mut got_min);
     for (i, (a, b)) in want_min.iter().zip(&got_min).enumerate() {
         assert!(
             (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
@@ -160,7 +160,7 @@ fn weighted_factorized_kernels_match_scalar_within_1e9() {
         );
     }
     let mut got_nearest = vec![(0usize, 0.0f64); points.len()];
-    oracle.nearest_each_weighted(&points, &centers, &w, &mut got_nearest);
+    oracle.nearest_each(&points, &centers, Some(&w), &mut got_nearest);
     for (i, ((ai, ad), (bi, bd))) in want_nearest.iter().zip(&got_nearest).enumerate() {
         assert_eq!(ai, bi, "argmin for point {i} under {kernel:?}");
         assert!(
@@ -184,7 +184,7 @@ fn weighted_nearest_ties_break_low_under_every_kernel() {
     for kernel in Kernel::ALL {
         let oracle = StoreOracle::new(&store, kernel);
         let mut out = vec![(0usize, 0.0f64); n];
-        oracle.nearest_each_weighted(&queries, &centers, &w, &mut out);
+        oracle.nearest_each(&queries, &centers, Some(&w), &mut out);
         for (i, (idx, _)) in out.iter().enumerate() {
             assert_eq!(*idx, 0, "query {i} under {kernel:?} picked center {idx}");
         }
@@ -199,13 +199,13 @@ fn exact_apollonius_ties_break_low() {
     let q = Point::new(vec![0.0]);
     let near = Point::new(vec![1.0]); // d = 1, w = 0   → value 1
     let far = Point::new(vec![2.0]); // d = 2, w = 1   → value 1
-    let (idx, v) = Euclidean
-        .nearest_weighted(&q, &[near.clone(), far.clone()], &[0.0, 1.0])
-        .unwrap();
+    let q = std::slice::from_ref(&q);
+    let mut out = [(9usize, 0.0f64)];
+    Euclidean.nearest_each(q, &[near.clone(), far.clone()], Some(&[0.0, 1.0]), &mut out);
+    let (idx, v) = out[0];
     assert_eq!((idx, v), (0, 1.0));
-    let (idx, v) = Euclidean
-        .nearest_weighted(&q, &[far, near], &[1.0, 0.0])
-        .unwrap();
+    Euclidean.nearest_each(q, &[far, near], Some(&[1.0, 0.0]), &mut out);
+    let (idx, v) = out[0];
     assert_eq!((idx, v), (0, 1.0));
 }
 
